@@ -335,13 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, mode=True, k=True):
-        if mode:
-            p.add_argument("--mode", choices=(V.UNSIGNED, V.SIGNED),
-                           default=V.UNSIGNED)
-        if k:
-            p.add_argument("--k", type=int, default=1)
-        p.add_argument("--format", choices=("json",), default="json")
+    def add_common(p):
+        p.add_argument("--mode", choices=(V.UNSIGNED, V.SIGNED),
+                       default=V.UNSIGNED)
+        p.add_argument("--k", type=int, default=1)
 
     p = sub.add_parser("span", help="enumerate a span, one JSON element per line")
     add_common(p)
@@ -363,21 +360,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_dist)
 
     p = sub.add_parser("tetris", help="apply the tetris operation once")
-    add_common(p, mode=False, k=False)
     p.add_argument("--kind", choices=("vector", "word"), default="vector")
     p.add_argument("--input", required=True)
     p.add_argument("--alphabet")
     p.set_defaults(func=_cmd_tetris)
 
     p = sub.add_parser("encode", help="vector and matrix encodings of a word sequence")
-    add_common(p, mode=False, k=False)
     p.add_argument("--words", required=True)
     p.add_argument("--alphabet")
     p.add_argument("--cols", type=int)
     p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("decode", help="decode a vector sequence back into words")
-    add_common(p, mode=False, k=False)
     p.add_argument("--words", required=True, help="the base sequence Y")
     p.add_argument("--alphabet")
     p.add_argument("--blocks", required=True, help="vector sequence in the derived span")
@@ -385,13 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("derive-b", help="derived block sequence of an even-length Y")
-    add_common(p, mode=False, k=False)
     p.add_argument("--words", required=True)
     p.add_argument("--alphabet")
     p.set_defaults(func=_cmd_derive_b)
 
     p = sub.add_parser("perfect-sets", help="per-column constraint records")
-    add_common(p, mode=False, k=False)
     p.add_argument("--words", required=True)
     p.add_argument("--alphabet")
     p.add_argument("--cols", type=int)
@@ -414,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("verify", help="re-check a witness independently")
-    add_common(p, mode=False, k=False)
     p.add_argument("--witness", required=True)
     p.add_argument("--colours", type=int, default=2)
     p.add_argument("--family", choices=S.FAMILIES)
@@ -434,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("selftest", help="run the embedded invariant suite")
-    add_common(p, mode=False, k=False)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_selftest)
 

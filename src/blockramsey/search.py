@@ -24,12 +24,15 @@ and samples the derived product to confirm the colour guarantee.
 
 from __future__ import annotations
 
+import bisect
 import concurrent.futures
 import itertools
 import json
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
+
+import numpy as np
 
 from . import words as W
 from .encodings import (
@@ -90,10 +93,6 @@ def element_key(elem) -> str:
     raise ValueError(f"cannot serialize {elem!r}")
 
 
-def _vector_profile(p: BlockVector):
-    return p.entries
-
-
 def _word_profile(x: Word):
     # positions and indices of the variables, the word-level analogue
     return tuple(
@@ -104,10 +103,10 @@ def _word_profile(x: Word):
 def _family_fn(name: str, r: int, arity: str) -> Callable:
     def profile(*elem):
         if arity == "vector":
-            return _vector_profile(elem[0])
+            return elem[0].entries
         if arity == "word":
             return _word_profile(elem[0])
-        return _vector_profile(elem[0].blocks[0])
+        return elem[0].blocks[0].entries
 
     if name == "value-at-min-support":
         def fn(*elem):
@@ -283,11 +282,27 @@ class Exhausted:
                 "dead_ends": self.dead_ends}
 
 
+MAX_UNIVERSE_CELLS = 10**6
+
+
 def enumerate_universe(k: int, N: int, mode: str) -> list[BlockVector]:
-    """Every valid block vector supported inside [0, N), canonical order."""
+    """Every valid block vector supported inside [0, N), canonical order.
+
+    Refuses, before enumerating anything, a request whose value grid
+    (2k+1)^N (signed) or (k+1)^N (unsigned) exceeds MAX_UNIVERSE_CELLS.
+    """
     if N < 1:
         raise ValueError("N must be positive")
+    if k < 1:
+        raise ValueError("k must be at least 1")
     values = range(0, k + 1) if mode == UNSIGNED else range(-k, k + 1)
+    cells = 1
+    for _ in range(N):
+        cells *= len(values)
+        if cells > MAX_UNIVERSE_CELLS:
+            raise ValueError(
+                f"universe of {len(values)}^{N} cells exceeds the cap of "
+                f"{MAX_UNIVERSE_CELLS}; lower k or N")
     out = []
     for combo in itertools.product(values, repeat=N):
         entries = tuple((n, v) for n, v in enumerate(combo) if v != 0)
@@ -346,15 +361,6 @@ def word_ball(x: Word, radius: int) -> list[Word]:
     return out
 
 
-def _block_variants(b: BlockVector):
-    signs = (1, -1) if b.mode == SIGNED else (1,)
-    return [
-        (_tetris_entries(b.entries, j, s), j)
-        for j in range(b.k)
-        for s in signs
-    ]
-
-
 class _Counters:
     __slots__ = ("nodes", "dead_ends")
 
@@ -363,81 +369,153 @@ class _Counters:
         self.dead_ends = 0
 
 
-def _vector_subtree(problem, colouring, universe, feas_cache, root, counters):
+class _VectorKernel:
+    """One vector search's universe as integer cells, and its colour oracle.
+
+    A vector on [0, N) is coded as sum(v * B**n) with B = 2k+1 (signed) or
+    k+1 (unsigned).  Block supports are disjoint, so the code of a
+    block-ordered sum is the sum of the codes, and `code + base` is the
+    vector's cell in the grid of all B**N value assignments.  Feasible
+    colour sets are bitmasks (bit c set when colour c is possible).
+
+    Radius 0 colours each universe element lazily, once.  Radius 1 colours
+    the whole universe into the grid and ORs every axis with its +-1
+    shifts: the sup-norm unit ball is a box, so that dilation is exactly
+    the union over the ball.
+    """
+
+    def __init__(self, problem: SearchProblem, colouring: Colouring,
+                 universe: list[BlockVector]):
+        k, N = problem.k, problem.N
+        lo = -k if problem.mode == SIGNED else 0
+        self.B = k + 1 - lo
+        self.powers = [self.B ** n for n in range(N)]
+        self.base = -lo * sum(self.powers)
+        self.universe = universe
+        self.colouring = colouring
+        self.radius = problem.radius
+        codes = [self.code(p.entries) for p in universe]
+        self.index = dict(zip(codes, range(len(universe))))
+        self.min_supports = [p.min_support for p in universe]
+        self._variants = {}
+        if problem.radius == 0:
+            self._colour_bits = {}
+            return
+        # one bit per colour; past 64 colours numpy needs Python ints
+        dtype = np.uint64 if problem.r <= 64 else object
+        grid = np.zeros(self.B ** N, dtype=dtype)
+        grid[np.array(codes, dtype=np.int64) + self.base] = np.array(
+            [1 << colouring(p) for p in universe], dtype=dtype)
+        self._colours = grid.tolist()
+        cube = grid.reshape((self.B,) * N)
+        for axis in range(N):
+            src = cube.swapaxes(0, axis)
+            out = src.copy()
+            out[1:] |= src[:-1]
+            out[:-1] |= src[1:]
+            cube = out.swapaxes(0, axis)
+        self._dilated = cube.reshape(-1).tolist()
+
+    def code(self, entries) -> int:
+        return sum(v * self.powers[n] for n, v in entries)
+
+    def feasible(self, code: int) -> int:
+        """Colours that the span element `code` allows, as a bitmask."""
+        if self.radius:
+            return self._dilated[code + self.base]
+        bits = self._colour_bits.get(code)
+        if bits is None:
+            p = self.universe[self.index[code]]
+            bits = self._colour_bits[code] = 1 << self.colouring(p)
+        return bits
+
+    def variants(self, ci: int) -> list[tuple[int, int]]:
+        """(code, tetris exponent) of every signed tetris image of a block."""
+        if ci not in self._variants:
+            b = self.universe[ci]
+            signs = (1, -1) if b.mode == SIGNED else (1,)
+            self._variants[ci] = [
+                (self.code(_tetris_entries(b.entries, j, s)), j)
+                for j in range(b.k) for s in signs
+            ]
+        return self._variants[ci]
+
+    def neighbour(self, code: int, colour: int) -> BlockVector:
+        """Least universe member within sup-norm distance 1 of `code` that
+        has the colour, in canonical order."""
+        cell = code + self.base
+        cells = [cell]
+        for step in self.powers:
+            digit = cell // step % self.B
+            shifts = [d * step for d in (-1, 0, 1) if 0 <= digit + d < self.B]
+            cells = [c + s for c in cells for s in shifts]
+        bit = 1 << colour
+        return self.universe[min(self.index[c - self.base] for c in cells
+                                 if self._colours[c] & bit)]
+
+
+def _vector_subtree(problem, kernel, root, counters):
     """DFS below a fixed first block; returns the least witness or None.
 
     A node is one evaluated candidate prefix; a dead end is a node whose
     partial span already excludes every colour.
     """
-    variants = {}
-
-    def feasible(entries) -> frozenset:
-        if entries not in feas_cache:
-            vec = BlockVector(problem.k, problem.mode, entries)
-            feas_cache[entries] = frozenset(
-                colouring(q) for q in vector_ball(vec, problem.N, problem.radius)
-            )
-        return feas_cache[entries]
+    universe = kernel.universe
 
     def evaluate(combos, feas, ci):
         counters.nodes += 1
-        if ci not in variants:
-            variants[ci] = _block_variants(universe[ci])
         fresh = []
-        for vent, vj in variants[ci]:
-            fresh.append((vent, vj))
-            for ent, j in combos:
-                fresh.append((ent + vent, min(j, vj)))
-        for ent, j in fresh:
+        for vcode, vj in kernel.variants(ci):
+            fresh.append((vcode, vj))
+            for code, j in combos:
+                fresh.append((code + vcode, min(j, vj)))
+        for code, j in fresh:
             if j == 0:
-                feas = feas & feasible(ent)
+                feas &= kernel.feasible(code)
                 if not feas:
                     counters.dead_ends += 1
                     return None
         return combos + fresh, feas
 
     def extend(prefix, combos, feas):
-        last = universe[prefix[-1]]
-        for ci in range(prefix[-1] + 1, len(universe)):
-            if universe[ci].min_support <= last.max_support:
-                continue
+        # the universe is sorted by min support: block-ordered candidates
+        # are exactly those past the last block's max support
+        start = bisect.bisect_right(kernel.min_supports,
+                                    universe[prefix[-1]].max_support)
+        for ci in range(start, len(universe)):
             res = evaluate(combos, feas, ci)
             if res is None:
                 continue
             ncombos, nfeas = res
             if len(prefix) + 1 == problem.m:
-                return _make_vector_witness(
-                    problem, colouring, universe, prefix + [ci], ncombos, nfeas)
+                return _make_vector_witness(problem, kernel, prefix + [ci],
+                                            ncombos, nfeas)
             found = extend(prefix + [ci], ncombos, nfeas)
             if found is not None:
                 return found
         return None
 
-    res = evaluate([], frozenset(range(problem.r)), root)
+    res = evaluate([], (1 << problem.r) - 1, root)
     if res is None:
         return None
     combos, feas = res
     if problem.m == 1:
-        return _make_vector_witness(problem, colouring, universe, [root],
-                                    combos, feas)
+        return _make_vector_witness(problem, kernel, [root], combos, feas)
     return extend([root], combos, feas)
 
 
-def _make_vector_witness(problem, colouring, universe, prefix, combos, feas):
-    colour = min(feas)
-    elements = sorted(
-        (BlockVector(problem.k, problem.mode, ent) for ent, j in combos if j == 0),
-        key=BlockVector.sort_key,
-    )
+def _make_vector_witness(problem, kernel, prefix, combos, feas):
+    colour = (feas & -feas).bit_length() - 1
+    universe = kernel.universe
+    # the universe is in canonical order, so sorting by index sorts the span
+    members = sorted((kernel.index[code], code) for code, j in combos if j == 0)
     cert = []
-    for p in elements:
+    for i, code in members:
+        p = universe[i]
         if problem.radius == 0:
-            cert.append({"element": p.to_dict(), "colour": colouring(p)})
+            cert.append({"element": p.to_dict(), "colour": colour})
         else:
-            nb = next(
-                q for q in vector_ball(p, problem.N, problem.radius)
-                if colouring(q) == colour
-            )
+            nb = kernel.neighbour(code, colour)
             cert.append({
                 "element": p.to_dict(), "neighbour": nb.to_dict(),
                 "colour": colour, "dist": linf_dist(p, nb),
@@ -446,15 +524,16 @@ def _make_vector_witness(problem, colouring, universe, prefix, combos, feas):
         kind="vector", mode=problem.mode, k=problem.k, r=problem.r,
         radius=problem.radius, colour=colour, certificate=tuple(cert),
         blocks=BlockSequence(tuple(universe[i] for i in prefix)),
-        N=problem.N, rule=colouring.rule_name(),
+        N=problem.N, rule=kernel.colouring.rule_name(),
     )
 
 
 def _vector_root_worker(args):
     problem, colouring, root = args
     universe = enumerate_universe(problem.k, problem.N, problem.mode)
+    kernel = _VectorKernel(problem, colouring, universe)
     counters = _Counters()
-    found = _vector_subtree(problem, colouring, universe, {}, root, counters)
+    found = _vector_subtree(problem, kernel, root, counters)
     return found, counters.nodes, counters.dead_ends
 
 
@@ -478,10 +557,9 @@ def _run_vector_search(problem: SearchProblem, colouring: Colouring,
                 return found
         return Exhausted(nodes, dead)
     counters = _Counters()
-    feas_cache = {}
+    kernel = _VectorKernel(problem, colouring, universe)
     for root in roots:
-        found = _vector_subtree(problem, colouring, universe, feas_cache,
-                                root, counters)
+        found = _vector_subtree(problem, kernel, root, counters)
         if found is not None:
             return found
     return Exhausted(counters.nodes, counters.dead_ends)
@@ -764,7 +842,20 @@ class VerifyReport:
 
 def verify_witness(witness: Witness, colouring: Colouring) -> VerifyReport:
     """Re-enumerate the witness span independently and re-check the colour
-    condition; failures are reported, never raised."""
+    condition; failures are reported, never raised.
+
+    A malformed request raises ValueError instead: a colouring with another
+    number of colours than the witness, or a vector witness with a block
+    position outside [0, N).
+    """
+    if colouring.r != witness.r:
+        raise ValueError(f"the colouring has {colouring.r} colours but the "
+                         f"witness was found with r={witness.r}")
+    if witness.kind == "vector":
+        reach = witness.blocks.blocks[-1].max_support
+        if witness.N is None or reach >= witness.N:
+            raise ValueError(f"witness block position {reach} lies outside "
+                             f"[0, N) for N={witness.N}")
     failures = []
     if witness.kind == "vector":
         elements = oracle_span_vectors(witness.blocks)
@@ -775,7 +866,7 @@ def verify_witness(witness: Witness, colouring: Colouring) -> VerifyReport:
             c = colouring(x)
             if c != witness.colour:
                 failures.append({
-                    "element": _elem_dict(x), "colour": c,
+                    "element": x.to_dict(), "colour": c,
                     "expected": witness.colour,
                 })
         else:
@@ -784,7 +875,7 @@ def verify_witness(witness: Witness, colouring: Colouring) -> VerifyReport:
                     word_ball(x, witness.radius))
             if not any(colouring(q) == witness.colour for q in ball):
                 failures.append({
-                    "element": _elem_dict(x),
+                    "element": x.to_dict(),
                     "reason": f"no colour-{witness.colour} neighbour in radius "
                               f"{witness.radius}",
                 })
@@ -792,10 +883,6 @@ def verify_witness(witness: Witness, colouring: Colouring) -> VerifyReport:
         passed=not failures, colour=witness.colour, checked=len(elements),
         failures=tuple(failures),
     )
-
-
-def _elem_dict(x):
-    return x.to_dict()
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,48 @@ class TestExitCodes:
         assert code == 1
         assert "error" in err
 
+    def test_universe_over_cap_is_1(self, capfd):
+        code, out, err = run_inproc(
+            capfd, "search", "--mode", "signed", "--k", "2", "--N", "20",
+            "--m", "2", "--colours", "2", "--family", "support-size-mod",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "cap" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def _witness_file(self, capfd, tmp_path, **edits):
+        code, out, _ = run_inproc(
+            capfd, "search", "--mode", "signed", "--k", "1", "--N", "3",
+            "--m", "2", "--colours", "2", "--family", "support-size-mod",
+            "--radius", "1",
+        )
+        assert code == 0
+        data = json.loads(out)
+        data.update(edits)
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(data))
+        return f"@{path}"
+
+    def test_verify_colour_count_mismatch_is_1(self, capfd, tmp_path):
+        witness = self._witness_file(capfd, tmp_path)
+        code, out, err = run_inproc(
+            capfd, "verify", "--witness", witness, "--colours", "7",
+            "--family", "support-size-mod",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "r=2" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_verify_blocks_outside_n_is_1(self, capfd, tmp_path):
+        witness = self._witness_file(capfd, tmp_path, N=1)
+        code, out, err = run_inproc(
+            capfd, "verify", "--witness", witness, "--colours", "2",
+            "--family", "support-size-mod",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "outside" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_exhausted_is_3(self, capfd):
         code, out, _ = run_inproc(
             capfd, "search", "--mode", "unsigned", "--k", "1", "--N", "2",

@@ -1,0 +1,111 @@
+"""The integer colour-grid kernel of the vector search, against the
+independent `vector_ball` oracle, plus pinned search outcomes."""
+
+import hashlib
+
+import pytest
+
+from blockramsey import (
+    Colouring,
+    Exhausted,
+    SearchProblem,
+    enumerate_universe,
+    search_approx,
+    search_exact,
+)
+from blockramsey.search import _VectorKernel, canonical_json, vector_ball
+
+GRID_COLOURINGS = [
+    ("min-position-mod", 3), ("weighted-sum-mod", 2),
+    ("value-at-min-support", 3), ("support-size-mod", 2),
+    (11, 2), (12, 3),
+]
+# (k, N): every signed universe with N <= 5 whose balls stay cheap to build
+GRID_SIZES = [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (2, 4)]
+
+
+def _colouring(spec, r):
+    if isinstance(spec, int):
+        return Colouring.seeded(spec, r)
+    return Colouring.family(spec, r)
+
+
+def _kernel(k, N, colouring, r):
+    problem = SearchProblem(mode="signed", k=k, r=r, N=N, m=1, radius=1)
+    universe = enumerate_universe(k, N, "signed")
+    return universe, _VectorKernel(problem, colouring, universe)
+
+
+@pytest.mark.parametrize("k,N", GRID_SIZES)
+@pytest.mark.parametrize("spec,r", GRID_COLOURINGS)
+def test_grid_feasibility_and_neighbours_match_ball(k, N, spec, r):
+    colouring = _colouring(spec, r)
+    universe, kernel = _kernel(k, N, colouring, r)
+    for p in universe:
+        ball = vector_ball(p, N, 1)
+        expected = frozenset(colouring(q) for q in ball)
+        code = kernel.code(p.entries)
+        bits = kernel.feasible(code)
+        assert frozenset(c for c in range(r) if bits >> c & 1) == expected
+        for colour in expected:
+            first = next(q for q in ball if colouring(q) == colour)
+            assert kernel.neighbour(code, colour) == first
+
+
+def test_grid_with_more_colours_than_a_machine_word():
+    # 70 colours do not fit a 64-bit mask; the grid keeps Python ints
+    colouring = Colouring.seeded(5, 70)
+    universe, kernel = _kernel(1, 3, colouring, 70)
+    for p in universe:
+        expected = frozenset(colouring(q) for q in vector_ball(p, 3, 1))
+        bits = kernel.feasible(kernel.code(p.entries))
+        assert frozenset(c for c in range(70) if bits >> c & 1) == expected
+
+
+def _sign_at_min_support(p):
+    return 0 if p.entries[0][1] > 0 else 1
+
+
+def _negative_count_mod_3(p):
+    return sum(1 for _, v in p.entries if v < 0) % 3
+
+
+SIGN = Colouring.custom(_sign_at_min_support, 2, name="sign-at-min-support")
+NEG3 = Colouring.custom(_negative_count_mod_3, 3, name="negative-count-mod-3")
+
+# Outcomes recorded from the search before the integer kernel: a witness by
+# the first 16 hex digits of the SHA-256 of its canonical JSON, an
+# exhaustion by its node and dead-end counts.  A change of candidate order
+# or pruning moves them.
+PINNED = [
+    (SearchProblem("unsigned", 2, 2, 6, 3), Colouring.seeded(1, 2),
+     (1804, 1083)),
+    (SearchProblem("signed", 2, 2, 4, 2), Colouring.seeded(1, 2),
+     (880, 618)),
+    (SearchProblem("signed", 1, 2, 6, 2), Colouring.seeded(1, 2),
+     "c84cb4470122be88"),
+    (SearchProblem("signed", 2, 2, 5, 2),
+     Colouring.family("min-position-mod", 2), "1200a2d9694122ed"),
+    (SearchProblem("signed", 2, 3, 4, 3, radius=1), NEG3, (1288, 558)),
+    (SearchProblem("signed", 2, 9, 3, 3, radius=1), Colouring.seeded(1, 9),
+     (166, 40)),
+    (SearchProblem("signed", 2, 2, 4, 2, radius=1), SIGN,
+     "65b76ac67a135878"),
+    (SearchProblem("signed", 1, 3, 5, 3, radius=1), Colouring.seeded(1, 3),
+     "1712f52c3a24299c"),
+    (SearchProblem("signed", 2, 3, 5, 2, radius=1), Colouring.seeded(1, 3),
+     "7578e1dd1e061c80"),
+]
+
+
+@pytest.mark.parametrize("problem,colouring,expected", PINNED)
+def test_pinned_outcomes(problem, colouring, expected):
+    run = search_exact if problem.radius == 0 else search_approx
+    res = run(problem, colouring)
+    if isinstance(expected, tuple):
+        assert isinstance(res, Exhausted)
+        assert (res.nodes, res.dead_ends) == expected
+    else:
+        digest = hashlib.sha256(
+            canonical_json(res.to_dict()).encode()).hexdigest()[:16]
+        assert digest == expected

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import blockramsey.search as S
 from blockramsey import (
     Alphabet,
     BlockSequence,
@@ -431,6 +432,42 @@ class TestValidation:
     def test_universe_needs_positions(self):
         with pytest.raises(ValueError):
             enumerate_universe(1, 0, "unsigned")
+        with pytest.raises(ValueError):
+            enumerate_universe(0, 3, "unsigned")
+
+    def test_universe_cap_fails_before_enumerating(self, monkeypatch):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(S.itertools, "product", no_enumeration)
+        for k, N, mode in ((2, 20, "signed"), (1, 20, "unsigned"),
+                           (1, 10**9, "signed")):
+            with pytest.raises(ValueError, match="exceeds the cap"):
+                enumerate_universe(k, N, mode)
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            search_exact(SearchProblem(mode="signed", k=2, r=2, N=20, m=2),
+                         Colouring.family("support-size-mod", 2))
+
+    def test_universe_cap_admits_the_largest_tested_instance(self):
+        # signed k=2, N=6 (the sign-at-min-support search) has 5^6 cells
+        assert 5 ** 6 <= S.MAX_UNIVERSE_CELLS < 2 ** 20
+
+    def test_verify_rejects_colour_count_mismatch(self):
+        c = Colouring.family("support-size-mod", 2)
+        res = search_exact(SearchProblem(mode="unsigned", k=1, r=2, N=4, m=2), c)
+        with pytest.raises(ValueError, match="r=2"):
+            verify_witness(res, Colouring.family("support-size-mod", 7))
+
+    def test_verify_rejects_blocks_outside_n(self):
+        import dataclasses
+        c = Colouring.family("support-size-mod", 2)
+        prob = SearchProblem(mode="signed", k=1, r=2, N=3, m=2, radius=1)
+        res = search_approx(prob, c)
+        reach = res.blocks.blocks[-1].max_support
+        assert verify_witness(dataclasses.replace(res, N=reach + 1), c).passed
+        for N in (reach, 1):
+            with pytest.raises(ValueError, match="outside"):
+                verify_witness(dataclasses.replace(res, N=N), c)
 
     def test_problem_validation(self):
         with pytest.raises(ValueError):
