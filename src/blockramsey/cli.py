@@ -41,7 +41,7 @@ def _emit(obj):
 
 def _blocks_from_arg(data, k: int, mode: str) -> V.BlockSequence:
     blocks = []
-    for d in data:
+    for d in V.json_objects(data, "--blocks"):
         blocks.append(V.BlockVector.make(d.get("k", k), d.get("mode", mode),
                                          d["entries"]))
     return V.BlockSequence(tuple(blocks))

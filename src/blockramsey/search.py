@@ -351,14 +351,17 @@ def word_ball(x: Word, radius: int) -> list[Word]:
                 opts.append(Letter(zero))
             elif abs(i) <= k:
                 opts.append(Var(i))
-        choices.append(opts)
-    out = []
-    for combo in itertools.product(*choices):
-        w = Word(k, x.mode, x.alphabet, combo)
-        if classify(w) == k:
-            out.append(w)
-    out.sort(key=Word.sort_key)
-    return out
+        # sorted options make the product come out in Word.sort_key order
+        choices.append(sorted(opts, key=W.symbol_key))
+    # a combo has full class iff some position holds v_k or v_-k
+    full = [[isinstance(s, Var) and abs(s.index) == k for s in opts]
+            for opts in choices]
+    return [
+        Word(k, x.mode, x.alphabet, combo)
+        for combo, flags in zip(itertools.product(*choices),
+                                itertools.product(*full))
+        if any(flags)
+    ]
 
 
 class _Counters:
@@ -806,24 +809,33 @@ def oracle_span_vectors(blocks: BlockSequence) -> list[BlockVector]:
 
 
 def oracle_span_words(Y: VarWordSequence) -> list[Word]:
-    """Generate-then-filter span: enumerate all words whose length is a subset
-    sum of the generator lengths and keep those that parse over Y."""
-    lengths = [len(w) for w in Y.words]
-    sums = sorted({
-        sum(lengths[i] for i in subset)
-        for size in range(1, len(lengths) + 1)
-        for subset in itertools.combinations(range(len(lengths)), size)
-    })
+    """Generate-then-filter span, factorised per generator slot.
+
+    Rapid increase makes the slot partition of each span length unique, so
+    a span element is a concatenation of one accepted piece per generator
+    of a nonempty subset.  Every candidate piece (every symbol string of the
+    generator's length) is tried once per generator and kept when
+    `_parse_segment` accepts it, graded by the generator's global index;
+    the kept pieces are multiplied out per subset and filtered by class.
+    Independent of the slot options and piece evaluation used by
+    span_words().
+    """
     letters = sorted(Y.alphabet.top, key=W.letter_key)
     indices = range(1, Y.k + 1) if Y.mode == UNSIGNED else \
         [i for i in range(-Y.k, Y.k + 1) if i != 0]
     symbols = [Letter(t) for t in letters] + [Var(i) for i in indices]
+    slices = [
+        [piece for piece in itertools.product(symbols, repeat=len(gen))
+         if W._parse_segment(Y, pos, gen, piece) is not None]
+        for pos, gen in enumerate(Y.words)
+    ]
     out = []
-    for ln in sums:
-        for combo in itertools.product(symbols, repeat=ln):
-            w = Word(Y.k, Y.mode, Y.alphabet, combo)
-            if W.parse_support(Y, w) is not None:
-                out.append(w)
+    for size in range(1, len(Y) + 1):
+        for subset in itertools.combinations(slices, size):
+            for pieces in itertools.product(*subset):
+                w = Word(Y.k, Y.mode, Y.alphabet, sum(pieces, ()))
+                if classify(w) == Y.k:
+                    out.append(w)
     out.sort(key=Word.sort_key)
     return out
 
@@ -966,12 +978,13 @@ def parametrized_pipeline(colouring: Colouring, bounds: PipelineBounds):
             if lifted(z) != found.colour:
                 failures.append({"sample": a.to_dict(), "reason": "colour mismatch"})
         else:
-            near = [y for y in word_ball(z, 1) if lifted(y) == found.colour]
-            if not near:
+            near = next((y for y in word_ball(z, 1)
+                         if lifted(y) == found.colour), None)
+            if near is None:
                 failures.append({"sample": a.to_dict(),
                                  "reason": "no on-colour word within distance 1"})
             else:
-                a_tilde = phi_encode(_single_seq(near[0], 0)).blocks[0]
+                a_tilde = phi_encode(_single_seq(near, 0)).blocks[0]
                 if linf_dist(a, a_tilde) > 1:
                     failures.append({"sample": a.to_dict(),
                                      "reason": "decoded vector drifted"})
@@ -980,8 +993,30 @@ def parametrized_pipeline(colouring: Colouring, bounds: PipelineBounds):
                           failures=tuple(failures))
 
 
+# the JSON type of every witness field, common and per kind
+_WITNESS_FIELDS = {"mode": str, "k": int, "r": int, "radius": int,
+                   "colour": int, "certificate": list}
+_KIND_FIELDS = {"vector": {"blocks": list, "N": int},
+                "word": {"alphabet": dict, "words": list, "lengths": list}}
+_JSON_TYPE_NAMES = {str: "string", int: "integer", list: "list", dict: "object"}
+
+
 def witness_from_dict(data: dict) -> Witness:
-    """Rebuild a witness from its JSON form (the output of Witness.to_dict)."""
+    """Rebuild a witness from its JSON form (the output of Witness.to_dict).
+
+    Input of the wrong shape raises ValueError naming what is wrong.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("a witness must be a JSON object")
+    kind = data.get("kind")
+    if not isinstance(kind, str) or kind not in _KIND_FIELDS:
+        raise ValueError(f"unknown witness kind {kind!r}")
+    for field, want in {**_WITNESS_FIELDS, **_KIND_FIELDS[kind]}.items():
+        if field not in data:
+            raise ValueError(f"the witness lacks the field {field!r}")
+        if not isinstance(data[field], want):
+            raise ValueError(f"the witness field {field!r} must be a JSON "
+                             f"{_JSON_TYPE_NAMES[want]}")
     common = dict(
         kind=data["kind"], mode=data["mode"], k=data["k"], r=data["r"],
         radius=data["radius"], colour=data["colour"],

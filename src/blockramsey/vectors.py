@@ -63,8 +63,13 @@ class BlockVector:
         """Build from a mapping or an iterable of (position, value) pairs."""
         if isinstance(entries, Mapping):
             entries = entries.items()
-        items = sorted((int(n), int(v)) for n, v in entries)
-        return cls(int(k), mode, tuple(items))
+        try:
+            items = sorted((int(n), int(v)) for n, v in entries)
+            k = int(k)
+        except TypeError:
+            raise ValueError("a block vector needs an integer k and a list of "
+                             "(position, value) integer pairs") from None
+        return cls(k, mode, tuple(items))
 
     def value_at(self, n: int) -> int:
         for pos, v in self.entries:
@@ -92,6 +97,8 @@ class BlockVector:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BlockVector":
+        if not isinstance(data, dict):
+            raise ValueError("a block vector must be a JSON object")
         return cls.make(data["k"], data["mode"], data["entries"])
 
 
@@ -134,8 +141,16 @@ class BlockSequence:
         return [b.to_dict() for b in self.blocks]
 
     @classmethod
-    def from_list(cls, data: Iterable[dict]) -> "BlockSequence":
-        return cls(tuple(BlockVector.from_dict(d) for d in data))
+    def from_list(cls, data: list[dict]) -> "BlockSequence":
+        return cls(tuple(BlockVector.from_dict(d)
+                         for d in json_objects(data, "a block sequence")))
+
+
+def json_objects(data, what: str) -> list:
+    """data itself when it is a list of JSON objects; ValueError otherwise."""
+    if not isinstance(data, list) or not all(isinstance(d, dict) for d in data):
+        raise ValueError(f"{what} must be a JSON list of objects")
+    return data
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .vectors import MODES, SIGNED, UNSIGNED
+from .vectors import MODES, SIGNED, UNSIGNED, json_objects
 
 
 def letter_key(token):
@@ -75,6 +75,10 @@ class Alphabet:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Alphabet":
+        if not (isinstance(data, dict) and isinstance(data.get("levels"), list)
+                and all(isinstance(lv, list) for lv in data["levels"])):
+            raise ValueError("an alphabet must be a JSON object whose levels "
+                             "are lists of letters")
         levels = [frozenset(_token_parse(t) for t in lv) for lv in data["levels"]]
         return cls(tuple(levels), _token_parse(data["zero"]))
 
@@ -84,7 +88,11 @@ def _token_json(token):
 
 
 def _token_parse(token):
-    return tuple(token) if isinstance(token, list) else token
+    if isinstance(token, str):
+        return token
+    if isinstance(token, list) and all(isinstance(b, int) for b in token):
+        return tuple(token)
+    raise ValueError(f"a letter is a string or a list of bits, not {token!r}")
 
 
 @dataclass(frozen=True)
@@ -153,9 +161,13 @@ class Word:
 
     @classmethod
     def from_dict(cls, data: dict, alphabet: Alphabet) -> "Word":
+        if not isinstance(data, dict) or not isinstance(data.get("k"), int):
+            raise ValueError("a word must be a JSON object with an integer k")
         syms = []
-        for s in data["symbols"]:
+        for s in json_objects(data["symbols"], "word symbols"):
             if "var" in s:
+                if not isinstance(s["var"], int):
+                    raise ValueError(f"variable index {s['var']!r} is not an integer")
                 syms.append(Var(s["var"]))
             else:
                 syms.append(Letter(_token_parse(s["letter"])))
@@ -320,8 +332,9 @@ class VarWordSequence:
         return [w.to_dict() for w in self.words]
 
     @classmethod
-    def from_list(cls, data: Iterable[dict], alphabet: Alphabet) -> "VarWordSequence":
-        return cls(tuple(Word.from_dict(d, alphabet) for d in data))
+    def from_list(cls, data: list[dict], alphabet: Alphabet) -> "VarWordSequence":
+        return cls(tuple(Word.from_dict(d, alphabet)
+                         for d in json_objects(data, "a word sequence")))
 
 
 @dataclass(frozen=True)

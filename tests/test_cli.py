@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from blockramsey.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -113,6 +115,42 @@ class TestExitCodes:
         )
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "outside" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("blocks", ['{"entries":5}', '[5]', '[{"entries":5}]'])
+    def test_span_malformed_blocks_is_1(self, capfd, blocks):
+        code, out, err = run_inproc(capfd, "span", "--blocks", blocks)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("witness", ['[1]', '{"kind":"word","words":5}',
+                                         '{"kind":["word"]}'])
+    def test_verify_malformed_witness_is_1(self, capfd, witness):
+        code, out, err = run_inproc(capfd, "verify", "--witness", witness)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+    def test_verify_witness_field_of_wrong_type_is_1(self, capfd, tmp_path):
+        witness = self._witness_file(capfd, tmp_path, N="x")
+        code, out, err = run_inproc(capfd, "verify", "--witness", witness,
+                                    "--family", "support-size-mod")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "'N'" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_verify_word_witness_with_malformed_words_is_1(self, capfd, tmp_path):
+        code, out, _ = run_inproc(
+            capfd, "search", "--kind", "word", "--mode", "unsigned",
+            "--k", "1", "--colours", "2", "--lengths", "1,2",
+            "--family", "value-at-min-support",
+        )
+        assert code == 0
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(dict(json.loads(out), words=[5])))
+        code, out, err = run_inproc(capfd, "verify", "--witness", f"@{path}",
+                                    "--family", "value-at-min-support")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "word sequence" in err
         assert len(err.strip().splitlines()) == 1
 
     def test_exhausted_is_3(self, capfd):
