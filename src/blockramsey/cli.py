@@ -42,8 +42,9 @@ def _emit(obj):
 def _blocks_from_arg(data, k: int, mode: str) -> V.BlockSequence:
     blocks = []
     for d in V.json_objects(data, "--blocks"):
-        blocks.append(V.BlockVector.make(d.get("k", k), d.get("mode", mode),
-                                         d["entries"]))
+        blocks.append(V.BlockVector.make(
+            d.get("k", k), d.get("mode", mode),
+            V.json_field(d, "entries", "a block vector")))
     return V.BlockSequence(tuple(blocks))
 
 
@@ -165,16 +166,15 @@ def _cmd_search(args) -> int:
                                 N=args.N, m=args.m, radius=args.radius)
         colouring = _colouring_from_args(args, "vector")
         if args.radius == 0:
-            result = S.search_exact(problem, colouring, parallel=args.parallel)
+            result = S.search_exact(problem, colouring)
         else:
-            result = S.search_approx(problem, colouring, parallel=args.parallel)
+            result = S.search_approx(problem, colouring)
     else:
         alphabet = _alphabet_from_arg(args.alphabet)
         lengths = [int(x) for x in args.lengths.split(",")]
         colouring = _colouring_from_args(args, "word")
         result = S.search_ghj(alphabet, args.k, args.mode, args.colours,
-                              colouring, lengths, radius=args.radius,
-                              parallel=args.parallel)
+                              colouring, lengths, radius=args.radius)
     if isinstance(result, Exhausted):
         _emit(result.to_dict())
         return EXIT_EXHAUSTED
@@ -402,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lengths", default="1,2", help="word search: exact lengths")
     p.add_argument("--alphabet")
-    p.add_argument("--parallel", action="store_true")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("verify", help="re-check a witness independently")

@@ -18,6 +18,7 @@ matrix of the substituted sequence.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -31,9 +32,8 @@ from .words import (
     VarWordSequence,
     Word,
     concat,
-    reflect_word,
+    eval_segment,
     substitute,
-    tetris_power,
 )
 
 
@@ -365,17 +365,9 @@ def decode_witness(
             else:
                 segs.append(Segment(p, 1, 0, zero_tuple))
         prev_hi = hi
-        pieces = []
-        for seg in segs:
-            piece = substitute(X.words[seg.gen_index], seg.lam)
-            piece = tetris_power(piece, seg.exponent)
-            if seg.sign == -1:
-                piece = reflect_word(piece)
-            pieces.append(piece)
-        z = pieces[0]
-        for piece in pieces[1:]:
-            z = concat(z, piece)
-        out.append(z)
+        out.append(functools.reduce(concat, (
+            eval_segment(X.words[seg.gen_index], seg.sign, seg.exponent, seg.lam)
+            for seg in segs)))
     return VarWordSequence(tuple(out))
 
 

@@ -25,7 +25,6 @@ and samples the derived product to confirm the colour guarantee.
 from __future__ import annotations
 
 import bisect
-import concurrent.futures
 import itertools
 import json
 import random
@@ -51,6 +50,7 @@ from .vectors import (
     BlockSequence,
     BlockVector,
     _tetris_entries,
+    json_field,
     linf_dist,
 )
 from .words import Alphabet, Letter, Var, VarWordSequence, Word, classify
@@ -364,14 +364,6 @@ def word_ball(x: Word, radius: int) -> list[Word]:
     ]
 
 
-class _Counters:
-    __slots__ = ("nodes", "dead_ends")
-
-    def __init__(self):
-        self.nodes = 0
-        self.dead_ends = 0
-
-
 class _VectorKernel:
     """One vector search's universe as integer cells, and its colour oracle.
 
@@ -457,61 +449,77 @@ class _VectorKernel:
                                  if self._colours[c] & bit)]
 
 
-def _vector_subtree(problem, kernel, root, counters):
-    """DFS below a fixed first block; returns the least witness or None.
+def _dfs(m: int, candidates: Callable, pieces: Callable, feasible: Callable,
+         r: int):
+    """Least m-slot prefix, in canonical order, whose span keeps a colour.
+
+    `candidates(prefix)` lists the next slot's candidates in canonical
+    order, and `pieces(slot, cand)` a candidate's distinct span pieces as
+    (value, exponent) pairs.  An element of a prefix's span takes one piece
+    from each slot of a nonempty set of slots: values add (integer codes,
+    or symbol tuples that concatenate) and exponents take their minimum,
+    so exponent 0 marks a span element.  `feasible(value)` is the bitmask
+    of colours that a span element allows (bit c for colour c).
 
     A node is one evaluated candidate prefix; a dead end is a node whose
-    partial span already excludes every colour.
+    partial span already excludes every colour.  Returns (prefix, span,
+    colours) for the first surviving prefix of m slots, or Exhausted.
     """
-    universe = kernel.universe
+    nodes = dead_ends = 0
 
-    def evaluate(combos, feas, ci):
-        counters.nodes += 1
-        fresh = []
-        for vcode, vj in kernel.variants(ci):
-            fresh.append((vcode, vj))
-            for code, j in combos:
-                fresh.append((code + vcode, min(j, vj)))
-        for code, j in fresh:
-            if j == 0:
-                feas &= kernel.feasible(code)
-                if not feas:
-                    counters.dead_ends += 1
-                    return None
-        return combos + fresh, feas
-
-    def extend(prefix, combos, feas):
-        # the universe is sorted by min support: block-ordered candidates
-        # are exactly those past the last block's max support
-        start = bisect.bisect_right(kernel.min_supports,
-                                    universe[prefix[-1]].max_support)
-        for ci in range(start, len(universe)):
-            res = evaluate(combos, feas, ci)
-            if res is None:
+    def extend(prefix, span, feas):
+        nonlocal nodes, dead_ends
+        slot = len(prefix)
+        for cand in candidates(prefix):
+            nodes += 1
+            fresh = []
+            for value, exp in pieces(slot, cand):
+                fresh.append((value, exp))
+                for v, e in span:
+                    fresh.append((v + value, min(e, exp)))
+            colours = feas
+            for value, exp in fresh:
+                if exp == 0:
+                    colours &= feasible(value)
+                    if not colours:
+                        break
+            if not colours:
+                dead_ends += 1
                 continue
-            ncombos, nfeas = res
-            if len(prefix) + 1 == problem.m:
-                return _make_vector_witness(problem, kernel, prefix + [ci],
-                                            ncombos, nfeas)
-            found = extend(prefix + [ci], ncombos, nfeas)
+            if slot + 1 == m:
+                return prefix + [cand], span + fresh, colours
+            found = extend(prefix + [cand], span + fresh, colours)
             if found is not None:
                 return found
         return None
 
-    res = evaluate([], (1 << problem.r) - 1, root)
-    if res is None:
-        return None
-    combos, feas = res
-    if problem.m == 1:
-        return _make_vector_witness(problem, kernel, [root], combos, feas)
-    return extend([root], combos, feas)
+    found = extend([], [], (1 << r) - 1)
+    return Exhausted(nodes, dead_ends) if found is None else found
 
 
-def _make_vector_witness(problem, kernel, prefix, combos, feas):
+def _vector_search(problem: SearchProblem, colouring: Colouring):
+    if colouring.arity != "vector":
+        raise ValueError("vector searches need a vector colouring")
+    universe = enumerate_universe(problem.k, problem.N, problem.mode)
+    kernel = _VectorKernel(problem, colouring, universe)
+
+    def candidates(prefix):
+        if not prefix:
+            return range(len(universe))
+        # the universe is sorted by min support: block-ordered candidates
+        # are exactly those past the last block's max support
+        start = bisect.bisect_right(kernel.min_supports,
+                                    universe[prefix[-1]].max_support)
+        return range(start, len(universe))
+
+    found = _dfs(problem.m, candidates, lambda slot, ci: kernel.variants(ci),
+                 kernel.feasible, problem.r)
+    if isinstance(found, Exhausted):
+        return found
+    prefix, span, feas = found
     colour = (feas & -feas).bit_length() - 1
-    universe = kernel.universe
     # the universe is in canonical order, so sorting by index sorts the span
-    members = sorted((kernel.index[code], code) for code, j in combos if j == 0)
+    members = sorted((kernel.index[code], code) for code, j in span if j == 0)
     cert = []
     for i, code in members:
         p = universe[i]
@@ -527,62 +535,23 @@ def _make_vector_witness(problem, kernel, prefix, combos, feas):
         kind="vector", mode=problem.mode, k=problem.k, r=problem.r,
         radius=problem.radius, colour=colour, certificate=tuple(cert),
         blocks=BlockSequence(tuple(universe[i] for i in prefix)),
-        N=problem.N, rule=kernel.colouring.rule_name(),
+        N=problem.N, rule=colouring.rule_name(),
     )
 
 
-def _vector_root_worker(args):
-    problem, colouring, root = args
-    universe = enumerate_universe(problem.k, problem.N, problem.mode)
-    kernel = _VectorKernel(problem, colouring, universe)
-    counters = _Counters()
-    found = _vector_subtree(problem, kernel, root, counters)
-    return found, counters.nodes, counters.dead_ends
-
-
-def _run_vector_search(problem: SearchProblem, colouring: Colouring,
-                       parallel: bool):
-    if colouring.arity != "vector":
-        raise ValueError("vector searches need a vector colouring")
-    universe = enumerate_universe(problem.k, problem.N, problem.mode)
-    roots = range(len(universe))
-    if parallel:
-        with concurrent.futures.ProcessPoolExecutor() as pool:
-            results = list(pool.map(
-                _vector_root_worker,
-                [(problem, colouring, root) for root in roots],
-                chunksize=8,
-            ))
-        nodes = sum(n for _, n, _ in results)
-        dead = sum(d for _, _, d in results)
-        for found, _, _ in results:
-            if found is not None:
-                return found
-        return Exhausted(nodes, dead)
-    counters = _Counters()
-    kernel = _VectorKernel(problem, colouring, universe)
-    for root in roots:
-        found = _vector_subtree(problem, kernel, root, counters)
-        if found is not None:
-            return found
-    return Exhausted(counters.nodes, counters.dead_ends)
-
-
-def search_exact(problem: SearchProblem, colouring: Colouring,
-                 parallel: bool = False):
+def search_exact(problem: SearchProblem, colouring: Colouring):
     """Least block sequence with an exactly monochromatic span, or Exhausted."""
     if problem.radius != 0:
         raise ValueError("search_exact requires radius 0")
-    return _run_vector_search(problem, colouring, parallel)
+    return _vector_search(problem, colouring)
 
 
-def search_approx(problem: SearchProblem, colouring: Colouring,
-                  parallel: bool = False):
+def search_approx(problem: SearchProblem, colouring: Colouring):
     """Least block sequence whose span sits in the radius-1 fattening of one
     colour class (computed over the declared universe), or Exhausted."""
     if problem.mode != SIGNED:
         raise ValueError("search_approx requires signed mode")
-    return _run_vector_search(problem, colouring, parallel)
+    return _vector_search(problem, colouring)
 
 
 def word_candidates(alphabet: Alphabet, k: int, mode: str, length: int,
@@ -602,122 +571,14 @@ def word_candidates(alphabet: Alphabet, k: int, mode: str, length: int,
     return out
 
 
-def _eval_piece(wrd: Word, sign: int, exponent: int, lam) -> Word:
-    piece = W.tetris_power(W.substitute(wrd, lam), exponent)
-    if sign == -1:
-        piece = W.reflect_word(piece)
-    return piece
-
-
-def _ghj_subtree(alphabet, k, mode, r, colouring, lengths, radius, candidates,
-                 root, counters):
-    feas_cache = {}
-    piece_cache = {}
-
-    def feasible(syms) -> frozenset:
-        if syms not in feas_cache:
-            wrd = Word(k, mode, alphabet, syms)
-            feas_cache[syms] = frozenset(
-                colouring(y) for y in word_ball(wrd, radius))
-        return feas_cache[syms]
-
-    def slot_pieces(slot: int, wrd: Word):
-        key = (slot, wrd)
-        if key not in piece_cache:
-            pieces = []
-            for sign, j, lam in W._slot_options(
-                    _single_seq(wrd, slot), 0, neg_t=False):
-                piece = _eval_piece(wrd, sign, j, lam)
-                pieces.append((piece.symbols, classify(piece)))
-            piece_cache[key] = pieces
-        return piece_cache[key]
-
-    def evaluate(combos, feas, slot, cand):
-        counters.nodes += 1
-        fresh = {}
-        for psyms, pcls in slot_pieces(slot, cand):
-            fresh.setdefault((psyms, pcls), None)
-            for syms, cls in combos:
-                fresh.setdefault((syms + psyms, max(cls, pcls)), None)
-        for syms, cls in fresh:
-            if cls == k:
-                feas = feas & feasible(syms)
-                if not feas:
-                    counters.dead_ends += 1
-                    return None
-        return combos + list(fresh), feas
-
-    def extend(slot, prefix, combos, feas):
-        for cand in candidates[slot]:
-            res = evaluate(combos, feas, slot, cand)
-            if res is None:
-                continue
-            ncombos, nfeas = res
-            if slot + 1 == len(lengths):
-                return _make_word_witness(alphabet, k, mode, r, colouring,
-                                          lengths, radius, prefix + [cand],
-                                          ncombos, nfeas)
-            found = extend(slot + 1, prefix + [cand], ncombos, nfeas)
-            if found is not None:
-                return found
-        return None
-
-    first = candidates[0][root]
-    res = evaluate([], frozenset(range(r)), 0, first)
-    if res is None:
-        return None
-    combos, feas = res
-    if len(lengths) == 1:
-        return _make_word_witness(alphabet, k, mode, r, colouring, lengths,
-                                  radius, [first], combos, feas)
-    return extend(1, [first], combos, feas)
-
-
 def _single_seq(wrd: Word, slot: int) -> VarWordSequence:
     return VarWordSequence((wrd,), (slot,))
-
-
-def _make_word_witness(alphabet, k, mode, r, colouring, lengths, radius,
-                       prefix, combos, feas):
-    colour = min(feas)
-    seq = VarWordSequence(tuple(prefix))
-    elements = sorted(
-        {Word(k, mode, alphabet, syms) for syms, cls in combos if cls == k},
-        key=Word.sort_key,
-    )
-    cert = []
-    for x in elements:
-        if radius == 0:
-            cert.append({"element": x.to_dict(), "colour": colouring(x)})
-        else:
-            nb = next(y for y in word_ball(x, radius) if colouring(y) == colour)
-            cert.append({
-                "element": x.to_dict(), "neighbour": nb.to_dict(),
-                "colour": colour, "dist": W.dist_words(x, nb),
-            })
-    return Witness(
-        kind="word", mode=mode, k=k, r=r, radius=radius, colour=colour,
-        certificate=tuple(cert), words=seq, lengths=tuple(lengths),
-        rule=colouring.rule_name(),
-    )
-
-
-def _ghj_root_worker(args):
-    alphabet, k, mode, r, colouring, lengths, radius, letters, root = args
-    candidates = [
-        word_candidates(alphabet, k, mode, ln, letters) for ln in lengths
-    ]
-    counters = _Counters()
-    found = _ghj_subtree(alphabet, k, mode, r, colouring, lengths, radius,
-                         candidates, root, counters)
-    return found, counters.nodes, counters.dead_ends
 
 
 def search_ghj(alphabet: Alphabet, k: int, mode: str, r: int,
                colouring: Colouring, lengths: Iterable[int],
                radius: Optional[int] = None,
-               letters: Optional[Iterable] = None,
-               parallel: bool = False):
+               letters: Optional[Iterable] = None):
     """Least rapidly increasing word sequence with the requested lengths whose
     span is monochromatic (exactly, or within the radius-1 fattening).
 
@@ -744,29 +605,52 @@ def search_ghj(alphabet: Alphabet, k: int, mode: str, r: int,
         letters = list(letters)
     candidates = [word_candidates(alphabet, k, mode, ln, letters)
                   for ln in lengths]
-    roots = range(len(candidates[0]))
-    if parallel:
-        with concurrent.futures.ProcessPoolExecutor() as pool:
-            results = list(pool.map(
-                _ghj_root_worker,
-                [(alphabet, k, mode, r, colouring, lengths, radius, letters,
-                  root)
-                 for root in roots],
-                chunksize=4,
-            ))
-        nodes = sum(n for _, n, _ in results)
-        dead = sum(d for _, _, d in results)
-        for found, _, _ in results:
-            if found is not None:
-                return found
-        return Exhausted(nodes, dead)
-    counters = _Counters()
-    for root in roots:
-        found = _ghj_subtree(alphabet, k, mode, r, colouring, lengths, radius,
-                             candidates, root, counters)
-        if found is not None:
-            return found
-    return Exhausted(counters.nodes, counters.dead_ends)
+    piece_cache = {}
+    feas_cache = {}
+
+    def pieces(slot: int, wrd: Word):
+        # a piece's exponent is k minus its class; duplicate pieces are
+        # dropped, and rapid increase keeps the concatenations distinct
+        if (slot, wrd) not in piece_cache:
+            distinct = {}
+            for sign, j, lam in W._slot_options(
+                    _single_seq(wrd, slot), 0, neg_t=False):
+                piece = W.eval_segment(wrd, sign, j, lam)
+                distinct.setdefault(piece.symbols, k - classify(piece))
+            piece_cache[slot, wrd] = list(distinct.items())
+        return piece_cache[slot, wrd]
+
+    def feasible(syms) -> int:
+        if syms not in feas_cache:
+            bits = 0
+            for y in word_ball(Word(k, mode, alphabet, syms), radius):
+                bits |= 1 << colouring(y)
+            feas_cache[syms] = bits
+        return feas_cache[syms]
+
+    found = _dfs(len(lengths), lambda prefix: candidates[len(prefix)], pieces,
+                 feasible, r)
+    if isinstance(found, Exhausted):
+        return found
+    prefix, span, feas = found
+    colour = (feas & -feas).bit_length() - 1
+    elements = sorted((Word(k, mode, alphabet, syms)
+                       for syms, exp in span if exp == 0), key=Word.sort_key)
+    cert = []
+    for x in elements:
+        if radius == 0:
+            cert.append({"element": x.to_dict(), "colour": colouring(x)})
+        else:
+            nb = next(y for y in word_ball(x, radius) if colouring(y) == colour)
+            cert.append({
+                "element": x.to_dict(), "neighbour": nb.to_dict(),
+                "colour": colour, "dist": W.dist_words(x, nb),
+            })
+    return Witness(
+        kind="word", mode=mode, k=k, r=r, radius=radius, colour=colour,
+        certificate=tuple(cert), words=VarWordSequence(tuple(prefix)),
+        lengths=lengths, rule=colouring.rule_name(),
+    )
 
 
 def oracle_span_vectors(blocks: BlockSequence) -> list[BlockVector]:
@@ -1012,9 +896,7 @@ def witness_from_dict(data: dict) -> Witness:
     if not isinstance(kind, str) or kind not in _KIND_FIELDS:
         raise ValueError(f"unknown witness kind {kind!r}")
     for field, want in {**_WITNESS_FIELDS, **_KIND_FIELDS[kind]}.items():
-        if field not in data:
-            raise ValueError(f"the witness lacks the field {field!r}")
-        if not isinstance(data[field], want):
+        if not isinstance(json_field(data, field, "the witness"), want):
             raise ValueError(f"the witness field {field!r} must be a JSON "
                              f"{_JSON_TYPE_NAMES[want]}")
     common = dict(

@@ -60,15 +60,21 @@ class BlockVector:
 
     @classmethod
     def make(cls, k: int, mode: str, entries) -> "BlockVector":
-        """Build from a mapping or an iterable of (position, value) pairs."""
+        """Build from a mapping or an iterable of (position, value) pairs.
+
+        k, positions and values must be integers: 1.7, "1" or true raise
+        ValueError instead of being coerced.
+        """
         if isinstance(entries, Mapping):
             entries = entries.items()
         try:
-            items = sorted((int(n), int(v)) for n, v in entries)
-            k = int(k)
-        except TypeError:
+            items = sorted((n, v) for n, v in entries)
+            ok = _is_int(k) and all(_is_int(n) and _is_int(v) for n, v in items)
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
             raise ValueError("a block vector needs an integer k and a list of "
-                             "(position, value) integer pairs") from None
+                             "(position, value) integer pairs")
         return cls(k, mode, tuple(items))
 
     def value_at(self, n: int) -> int:
@@ -99,7 +105,8 @@ class BlockVector:
     def from_dict(cls, data: dict) -> "BlockVector":
         if not isinstance(data, dict):
             raise ValueError("a block vector must be a JSON object")
-        return cls.make(data["k"], data["mode"], data["entries"])
+        return cls.make(*(json_field(data, name, "a block vector")
+                          for name in ("k", "mode", "entries")))
 
 
 @dataclass(frozen=True)
@@ -144,6 +151,17 @@ class BlockSequence:
     def from_list(cls, data: list[dict]) -> "BlockSequence":
         return cls(tuple(BlockVector.from_dict(d)
                          for d in json_objects(data, "a block sequence")))
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def json_field(data: dict, name: str, what: str):
+    """data[name]; a ValueError naming `what` and the field when it is absent."""
+    if name not in data:
+        raise ValueError(f"{what} lacks the field {name!r}")
+    return data[name]
 
 
 def json_objects(data, what: str) -> list:

@@ -22,11 +22,12 @@ letter counting as index 0).  The halving map folds variable indices
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .vectors import MODES, SIGNED, UNSIGNED, json_objects
+from .vectors import MODES, SIGNED, UNSIGNED, json_field, json_objects
 
 
 def letter_key(token):
@@ -161,17 +162,22 @@ class Word:
 
     @classmethod
     def from_dict(cls, data: dict, alphabet: Alphabet) -> "Word":
-        if not isinstance(data, dict) or not isinstance(data.get("k"), int):
-            raise ValueError("a word must be a JSON object with an integer k")
+        if not isinstance(data, dict):
+            raise ValueError("a word must be a JSON object")
+        k, mode, symbols = (json_field(data, name, "a word")
+                            for name in ("k", "mode", "symbols"))
+        if not isinstance(k, int):
+            raise ValueError("a word must have an integer k")
         syms = []
-        for s in json_objects(data["symbols"], "word symbols"):
+        for s in json_objects(symbols, "word symbols"):
             if "var" in s:
                 if not isinstance(s["var"], int):
                     raise ValueError(f"variable index {s['var']!r} is not an integer")
                 syms.append(Var(s["var"]))
             else:
-                syms.append(Letter(_token_parse(s["letter"])))
-        return cls(data["k"], data["mode"], alphabet, tuple(syms))
+                syms.append(Letter(_token_parse(
+                    json_field(s, "letter", "a word symbol"))))
+        return cls(k, mode, alphabet, tuple(syms))
 
 
 def word(k: int, mode: str, alphabet: Alphabet, symbols) -> Word:
@@ -368,6 +374,12 @@ class Decomposition:
         return tuple(s.gen_index for s in self.segments)
 
 
+def eval_segment(gen: Word, sign: int, exponent: int, lam) -> Word:
+    """The span piece sign * T^exponent(gen[lam]); lam=None keeps the variables."""
+    piece = tetris_power(substitute(gen, lam), exponent)
+    return reflect_word(piece) if sign == -1 else piece
+
+
 def compose(X: VarWordSequence, d: Decomposition) -> Word:
     """Evaluate a decomposition against X and concatenate the pieces."""
     pieces = []
@@ -384,14 +396,8 @@ def compose(X: VarWordSequence, d: Decomposition) -> Word:
             level = X.alphabet.level_at(seg.gen_index)
             if any(t not in level for t in seg.lam):
                 raise ValueError(f"letters must come from level {seg.gen_index}")
-        piece = tetris_power(substitute(gen, seg.lam), seg.exponent)
-        if seg.sign == -1:
-            piece = reflect_word(piece)
-        pieces.append(piece)
-    out = pieces[0]
-    for p in pieces[1:]:
-        out = concat(out, p)
-    return out
+        pieces.append(eval_segment(gen, seg.sign, seg.exponent, seg.lam))
+    return functools.reduce(concat, pieces)
 
 
 def _slot_options(X: VarWordSequence, pos: int, neg_t: bool):
@@ -695,13 +701,7 @@ def _negT_case1(Y: VarWordSequence, d: Decomposition) -> Word:
     pieces = []
     lookup = {g: w for g, w in zip(Y.indices, Y.words)}
     for seg in d.segments:
-        base = substitute(lookup[seg.gen_index], seg.lam)
-        z = tetris_power(base, seg.exponent)
-        if seg.sign == -1:
-            z = reflect_word(z)
+        z = eval_segment(lookup[seg.gen_index], seg.sign, seg.exponent, seg.lam)
         keep = (seg.sign == 1) == (seg.exponent % 2 == 0)
         pieces.append(z if keep else tetris_word(z))
-    out = pieces[0]
-    for p in pieces[1:]:
-        out = concat(out, p)
-    return out
+    return functools.reduce(concat, pieces)

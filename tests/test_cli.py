@@ -153,6 +153,39 @@ class TestExitCodes:
         assert err.startswith("error: ") and "word sequence" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("entries", ["[[0,1.7]]", "[[0.5,1]]", "[[0,true]]"])
+    def test_span_non_integer_entries_is_1(self, capfd, entries):
+        # neither truncated nor read as 1: a non-integer entry is rejected
+        code, out, err = run_inproc(capfd, "span", "--blocks",
+                                    f'[{{"entries":{entries}}}]')
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "integer" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_verify_witness_block_with_string_k_is_1(self, capfd, tmp_path):
+        path = Path(self._witness_file(capfd, tmp_path)[1:])
+        data = json.loads(path.read_text())
+        data["blocks"][0]["k"] = "1"
+        path.write_text(json.dumps(data))
+        code, out, err = run_inproc(capfd, "verify", "--witness", f"@{path}",
+                                    "--family", "support-size-mod")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "integer k" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("args,message", [
+        (("span", "--blocks", '[{"k":1}]'),
+         "a block vector lacks the field 'entries'"),
+        (("tetris", "--input", '{"k":1,"entries":[[0,1]]}'),
+         "a block vector lacks the field 'mode'"),
+        (("tetris", "--kind", "word", "--input", '{"k":1,"mode":"unsigned"}'),
+         "a word lacks the field 'symbols'"),
+    ])
+    def test_missing_field_is_named(self, capfd, args, message):
+        code, out, err = run_inproc(capfd, *args)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_exhausted_is_3(self, capfd):
         code, out, _ = run_inproc(
             capfd, "search", "--mode", "unsigned", "--k", "1", "--N", "2",

@@ -1,5 +1,6 @@
 """Search engine: universes, documented outcomes, soundness, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -205,17 +206,6 @@ class TestVectorSearch:
         else:
             assert report.failures
 
-    def test_parallel_matches_serial(self):
-        c = Colouring.family("min-position-mod", 2)
-        prob = SearchProblem(mode="unsigned", k=2, r=2, N=3, m=2)
-        serial = search_exact(prob, c)
-        parallel = search_exact(prob, c, parallel=True)
-        assert serial == parallel  # exhausted, including node counts
-        prob2 = SearchProblem(mode="unsigned", k=1, r=2, N=4, m=2)
-        s2 = search_exact(prob2, c)
-        p2 = search_exact(prob2, c, parallel=True)
-        assert s2.blocks == p2.blocks and s2.colour == p2.colour
-
 
 class TestWordSearch:
     def test_constant_first_candidate(self):
@@ -258,20 +248,37 @@ class TestWordSearch:
         with pytest.raises(ValueError):
             search_ghj(AB, 1, "unsigned", 1, c, (2, 2))
 
-    def test_parallel_matches_serial(self):
-        c = Colouring.custom(lambda w: len(w) % 2, 2, arity="word",
-                             name="length-mod")
-        serial = search_ghj(AB, 1, "unsigned", 2, c, (1, 2))
-        # custom colourings defined at module scope do not pickle; use a
-        # reconstructible one instead
-        c2 = Colouring.seeded(5, 2, arity="word")
-        s = search_ghj(AB, 1, "unsigned", 2, c2, (1, 2))
-        p = search_ghj(AB, 1, "unsigned", 2, c2, (1, 2), parallel=True)
-        assert type(s) is type(p)
-        if isinstance(s, Witness):
-            assert s.words == p.words and s.colour == p.colour
-        else:
-            assert s == p
+
+# Word-search outcomes recorded from the search before its DFS was shared
+# with the vector search: a witness by the first 16 hex digits of the
+# SHA-256 of its canonical JSON, an exhaustion by its node and dead-end
+# counts.  (k, mode, lengths, radius, colouring seed, r, expected)
+WORD_PINNED = [
+    (1, "unsigned", (1, 3), 0, 1, 2, (20, 19)),
+    (1, "unsigned", (2, 3), 0, 3, 2, (100, 95)),
+    (1, "unsigned", (2, 3), 0, 1, 2, "2fa86d04b27edb96"),
+    (2, "unsigned", (1, 2), 0, 4, 2, "f408454cdfc3f968"),
+    (1, "signed", (1, 3), 0, 1, 2, (114, 112)),
+    (1, "signed", (2, 3), 0, 4, 2, (236, 232)),
+    (1, "signed", (1, 2), 1, 1, 2, "d56532ce75e63ee9"),
+    (2, "signed", (1, 3), 1, 1, 2, "eadb8fbfb0d08b6e"),
+    (1, "signed", (2, 3), 1, 3, 2, "831813f9d3750209"),
+    (2, "signed", (1, 3), 1, 1, 3, (2, 2)),
+]
+
+
+@pytest.mark.parametrize("k,mode,lengths,radius,seed,r,expected", WORD_PINNED)
+def test_pinned_word_search_outcomes(k, mode, lengths, radius, seed, r,
+                                     expected):
+    c = Colouring.seeded(seed, r, arity="word")
+    res = search_ghj(AB, k, mode, r, c, lengths, radius=radius)
+    if isinstance(expected, tuple):
+        assert isinstance(res, Exhausted)
+        assert (res.nodes, res.dead_ends) == expected
+    else:
+        digest = hashlib.sha256(
+            S.canonical_json(res.to_dict()).encode()).hexdigest()[:16]
+        assert digest == expected
 
 
 class TestColourings:

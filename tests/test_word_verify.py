@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from blockramsey import Alphabet, Colouring, Witness, search_ghj, verify_witness
-from blockramsey import search as S
 from blockramsey import words as W
 from blockramsey.search import oracle_span_words, word_ball, word_candidates
 from blockramsey.words import Letter, Var, VarWordSequence, Word, classify
@@ -64,7 +63,7 @@ def test_oracle_calls_none_of_the_code_it_checks(monkeypatch):
         raise AssertionError("the oracle called the span code it checks")
 
     for module, name in ((W, "span_words"), (W, "compose"), (W, "_iter_span"),
-                         (W, "_slot_options"), (S, "_eval_piece")):
+                         (W, "_slot_options"), (W, "eval_segment")):
         monkeypatch.setattr(module, name, forbidden)
     Y = _sequence(random.Random(5), GRADED, 2, "signed", (1, 2))
     assert oracle_span_words(Y) == brute_force_span(Y)
