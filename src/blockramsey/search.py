@@ -494,6 +494,9 @@ def _dfs(m: int, candidates: Callable, pieces: Callable, feasible: Callable,
         return None
 
     found = extend([], [], (1 << r) - 1)
+    # extend reaches itself through its closure; breaking that cycle frees
+    # the search's caches now instead of at the next cyclic collection
+    del extend
     return Exhausted(nodes, dead_ends) if found is None else found
 
 
@@ -609,15 +612,9 @@ def search_ghj(alphabet: Alphabet, k: int, mode: str, r: int,
     feas_cache = {}
 
     def pieces(slot: int, wrd: Word):
-        # a piece's exponent is k minus its class; duplicate pieces are
-        # dropped, and rapid increase keeps the concatenations distinct
+        # rapid increase keeps the concatenations of distinct pieces distinct
         if (slot, wrd) not in piece_cache:
-            distinct = {}
-            for sign, j, lam in W._slot_options(
-                    _single_seq(wrd, slot), 0, neg_t=False):
-                piece = W.eval_segment(wrd, sign, j, lam)
-                distinct.setdefault(piece.symbols, k - classify(piece))
-            piece_cache[slot, wrd] = list(distinct.items())
+            piece_cache[slot, wrd] = W._slot_pieces(_single_seq(wrd, slot), 0)
         return piece_cache[slot, wrd]
 
     def feasible(syms) -> int:
@@ -701,7 +698,7 @@ def oracle_span_words(Y: VarWordSequence) -> list[Word]:
     generator's length) is tried once per generator and kept when
     `_parse_segment` accepts it, graded by the generator's global index;
     the kept pieces are multiplied out per subset and filtered by class.
-    Independent of the slot options and piece evaluation used by
+    Independent of the slot pieces and the combination loop used by
     span_words().
     """
     letters = sorted(Y.alphabet.top, key=W.letter_key)

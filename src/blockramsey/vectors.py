@@ -241,29 +241,33 @@ def _tetris_entries(entries, j: int, sign: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def span_combinations(slots):
+    """(value, exponent) for one piece from each slot of every nonempty set
+    of slots, in slot order.
+
+    Each slot is a list of (value, exponent) pieces whose values are tuples.
+    Values concatenate and exponents take their minimum, so with a piece's
+    exponent counting how far it sits below full magnitude, exponent 0
+    marks a span element.
+    """
+    for size in range(1, len(slots) + 1):
+        for subset in itertools.combinations(slots, size):
+            for choice in itertools.product(*subset):
+                yield (tuple(itertools.chain.from_iterable(v for v, _ in choice)),
+                       min(e for _, e in choice))
+
+
 def span(P: BlockSequence) -> list[BlockVector]:
     """All sums of signed tetris images over nonempty subsets of P.
 
     Per-block exponents run over 0..k-1 with at least one exponent 0,
     signs over {+1, -1} in signed mode.  Deduplicated, canonical order.
     """
-    k, mode = P.k, P.mode
-    signs = (1, -1) if mode == SIGNED else (1,)
-    options = []
-    for b in P.blocks:
-        options.append([(j, s) for j in range(k) for s in signs])
-    seen = set()
-    idx = range(len(P.blocks))
-    for size in range(1, len(P.blocks) + 1):
-        for subset in itertools.combinations(idx, size):
-            for choice in itertools.product(*(options[i] for i in subset)):
-                if min(j for j, _ in choice) != 0:
-                    continue
-                merged = []
-                for i, (j, s) in zip(subset, choice):
-                    merged.extend(_tetris_entries(P.blocks[i].entries, j, s))
-                seen.add(tuple(merged))
-    return sorted((BlockVector(k, mode, e) for e in seen), key=BlockVector.sort_key)
+    signs = (1, -1) if P.mode == SIGNED else (1,)
+    slots = [[(_tetris_entries(b.entries, j, s), j) for j in range(P.k) for s in signs]
+             for b in P.blocks]
+    seen = {value for value, exp in span_combinations(slots) if exp == 0}
+    return sorted((BlockVector(P.k, P.mode, e) for e in seen), key=BlockVector.sort_key)
 
 
 def linf_dist(p: BlockVector, q: BlockVector) -> int:

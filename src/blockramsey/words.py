@@ -27,7 +27,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .vectors import MODES, SIGNED, UNSIGNED, json_field, json_objects
+from .vectors import (MODES, SIGNED, UNSIGNED, _is_int, json_field, json_objects,
+                      span_combinations)
 
 
 def letter_key(token):
@@ -91,7 +92,7 @@ def _token_json(token):
 def _token_parse(token):
     if isinstance(token, str):
         return token
-    if isinstance(token, list) and all(isinstance(b, int) for b in token):
+    if isinstance(token, list) and all(_is_int(b) for b in token):
         return tuple(token)
     raise ValueError(f"a letter is a string or a list of bits, not {token!r}")
 
@@ -166,12 +167,12 @@ class Word:
             raise ValueError("a word must be a JSON object")
         k, mode, symbols = (json_field(data, name, "a word")
                             for name in ("k", "mode", "symbols"))
-        if not isinstance(k, int):
+        if not _is_int(k):
             raise ValueError("a word must have an integer k")
         syms = []
         for s in json_objects(symbols, "word symbols"):
             if "var" in s:
-                if not isinstance(s["var"], int):
+                if not _is_int(s["var"]):
                     raise ValueError(f"variable index {s['var']!r} is not an integer")
                 syms.append(Var(s["var"]))
             else:
@@ -400,81 +401,61 @@ def compose(X: VarWordSequence, d: Decomposition) -> Word:
     return functools.reduce(concat, pieces)
 
 
-def _slot_options(X: VarWordSequence, pos: int, neg_t: bool):
-    """All (sign, exponent, lam) choices for one generator slot."""
+def _slot_pieces(X: VarWordSequence, pos: int, neg_t: bool = False):
+    """Distinct (symbols, k - class) pieces of generator slot `pos`.
+
+    The pieces are sign * T^j(x) for j in 0..k (with sign = (-1)^j when
+    neg_t, so that the piece is (-T)^j(x)) and x[lam] for every lam over
+    the slot's alphabet level, in that order.  Exponent 0 marks a piece
+    of full class k, which is x itself or, signed, its reflection.
+    """
     k = X.k
+    gen = X.words[pos]
     arity = k if X.mode == UNSIGNED else 2 * k
-    level = X.alphabet.letters(X.indices[pos])
-    opts = []
     if neg_t:
-        # (-T)^j fixes sign = (-1)^j; substituted pieces take exponent 0
-        opts.extend((1 if j % 2 == 0 else -1, j, None) for j in range(k + 1))
-        opts.extend((1, 0, lam) for lam in itertools.product(level, repeat=arity))
+        opts = [((-1) ** j, j, None) for j in range(k + 1)]
     else:
         signs = (1, -1) if X.mode == SIGNED else (1,)
-        opts.extend((s, j, None) for j in range(k + 1) for s in signs)
-        opts.extend((1, 0, lam) for lam in itertools.product(level, repeat=arity))
-    return opts
+        opts = [(s, j, None) for j in range(k + 1) for s in signs]
+    level = X.alphabet.letters(X.indices[pos])
+    opts.extend((1, 0, lam) for lam in itertools.product(level, repeat=arity))
+    distinct = {}
+    for sign, j, lam in opts:
+        piece = eval_segment(gen, sign, j, lam)
+        distinct.setdefault(piece.symbols, k - classify(piece))
+    return list(distinct.items())
 
 
-def _iter_span(X: VarWordSequence, subset_bound: Optional[int], neg_t: bool):
-    top = len(X) if subset_bound is None else min(len(X), subset_bound)
-    for size in range(1, top + 1):
-        for subset in itertools.combinations(range(len(X)), size):
-            slot_opts = [_slot_options(X, p, neg_t) for p in subset]
-            for choice in itertools.product(*slot_opts):
-                if neg_t and not any(
-                    j == 0 and lam is None for _, j, lam in choice
-                ):
-                    continue
-                segs = tuple(
-                    Segment(X.indices[p], s, j, lam)
-                    for p, (s, j, lam) in zip(subset, choice)
-                )
-                yield Decomposition(segs)
+def _sorted_words(X: VarWordSequence, symbol_tuples) -> list[Word]:
+    return sorted((Word(X.k, X.mode, X.alphabet, syms) for syms in set(symbol_tuples)),
+                  key=Word.sort_key)
 
 
-def span_words(X: VarWordSequence, subset_bound: Optional[int] = None) -> list[Word]:
+def span_words(X: VarWordSequence) -> list[Word]:
     """All span elements of full class k, deduplicated, canonical order."""
-    seen = {}
-    for d in _iter_span(X, subset_bound, neg_t=False):
-        w = compose(X, d)
-        if classify(w) == X.k:
-            seen[w] = None
-    return sorted(seen, key=Word.sort_key)
+    slots = [_slot_pieces(X, pos) for pos in range(len(X))]
+    return _sorted_words(X, (syms for syms, exp in span_combinations(slots)
+                             if exp == 0))
 
 
 def span_letters(X: VarWordSequence) -> list[Word]:
     """All variable-free concatenations under graded substitutions."""
-    k = X.k
-    arity = k if X.mode == UNSIGNED else 2 * k
-    seen = {}
-    for size in range(1, len(X) + 1):
-        for subset in itertools.combinations(range(len(X)), size):
-            slot_opts = [
-                [(1, 0, lam) for lam in itertools.product(
-                    X.alphabet.letters(X.indices[p]), repeat=arity)]
-                for p in subset
-            ]
-            for choice in itertools.product(*slot_opts):
-                segs = tuple(
-                    Segment(X.indices[p], s, j, lam)
-                    for p, (s, j, lam) in zip(subset, choice)
-                )
-                seen[compose(X, Decomposition(segs))] = None
-    return sorted(seen, key=Word.sort_key)
+    # the variable-free pieces are the substituted generators: T^k(x) is
+    # x substituted with the zero letter, which every level holds
+    slots = [[(syms, exp) for syms, exp in _slot_pieces(X, pos) if exp == X.k]
+             for pos in range(len(X))]
+    return _sorted_words(X, (syms for syms, _ in span_combinations(slots)))
 
 
-def span_negT(X: VarWordSequence, subset_bound: Optional[int] = None) -> list[Word]:
+def span_negT(X: VarWordSequence) -> list[Word]:
     """Span built from (-T)^j pieces with some piece kept whole (exponent 0)."""
     if X.mode != SIGNED:
         raise ValueError("the (-T) span requires signed mode")
-    seen = {}
-    for d in _iter_span(X, subset_bound, neg_t=True):
-        w = compose(X, d)
-        if classify(w) == X.k:
-            seen[w] = None
-    return sorted(seen, key=Word.sort_key)
+    # the one piece of full class is (-T)^0(x) = x, so exponent 0 is
+    # exactly "some generator kept whole with sign +1"
+    slots = [_slot_pieces(X, pos, neg_t=True) for pos in range(len(X))]
+    return _sorted_words(X, (syms for syms, exp in span_combinations(slots)
+                             if exp == 0))
 
 
 def parse_support(Y: VarWordSequence, x: Word) -> Optional[Decomposition]:

@@ -162,6 +162,21 @@ class TestExitCodes:
         assert err.startswith("error: ") and "integer" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("alphabet,word", [
+        ('{"levels":[["0"]],"zero":"0"}',
+         '{"k":true,"mode":"unsigned","symbols":[{"var":true}]}'),
+        ('{"levels":[["0"]],"zero":"0"}',
+         '{"k":1,"mode":"unsigned","symbols":[{"var":true}]}'),
+        ('{"levels":[[[],[true]]],"zero":[]}',
+         '{"k":1,"mode":"unsigned","symbols":[{"var":1},{"letter":[true]}]}'),
+    ])
+    def test_word_boolean_is_1(self, capfd, alphabet, word):
+        # true is read neither as the integer 1 nor as the bit 1
+        code, out, err = run_inproc(capfd, "tetris", "--kind", "word",
+                                    "--alphabet", alphabet, "--input", word)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
     def test_verify_witness_block_with_string_k_is_1(self, capfd, tmp_path):
         path = Path(self._witness_file(capfd, tmp_path)[1:])
         data = json.loads(path.read_text())

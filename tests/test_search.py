@@ -1,5 +1,6 @@
 """Search engine: universes, documented outcomes, soundness, determinism."""
 
+import gc
 import hashlib
 import json
 
@@ -279,6 +280,35 @@ def test_pinned_word_search_outcomes(k, mode, lengths, radius, seed, r,
         digest = hashlib.sha256(
             S.canonical_json(res.to_dict()).encode()).hexdigest()[:16]
         assert digest == expected
+
+
+def test_searches_leave_no_reference_cycles():
+    # a cycle would keep a search's universe, grids and caches alive until
+    # the cyclic collector happens to run
+    runs = [
+        lambda: search_exact(SearchProblem(mode="signed", k=1, r=2, N=4, m=2),
+                             Colouring.seeded(3, 2)),
+        lambda: search_approx(
+            SearchProblem(mode="signed", k=2, r=2, N=4, m=2, radius=1),
+            Colouring.seeded(3, 2)),
+        lambda: search_ghj(AB, 1, "signed", 2,
+                           Colouring.seeded(1, 2, arity="word"), (1, 2)),
+        lambda: parametrized_pipeline(
+            Colouring.family("support-size-mod", 2, arity="vector_matrix"),
+            PipelineBounds(mode="unsigned", k=1, lengths=(1, 2))),
+    ]
+    for run in runs:
+        run()  # warm-up: first calls may fill interpreter-wide caches
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for run in runs:
+            gc.collect()
+            run()
+            assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class TestColourings:

@@ -24,6 +24,7 @@ from blockramsey import (
     support,
     tetris,
 )
+from blockramsey import vectors as V
 from blockramsey.search import oracle_span_vectors
 
 
@@ -185,6 +186,17 @@ class TestSpan:
             (s(2, {0: 2, 1: 1}), s(2, {2: -2}), s(2, {4: 1, 5: -2}))
         )
         assert span(seq) == oracle_span_vectors(seq)
+
+    def test_oracle_calls_none_of_the_code_it_checks(self, monkeypatch):
+        seq = BlockSequence((s(2, {0: 2, 1: 1}), s(2, {2: -2})))
+        want = span(seq)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle called the span code it checks")
+
+        for name in ("span", "span_combinations"):
+            monkeypatch.setattr(V, name, forbidden)
+        assert oracle_span_vectors(seq) == want
 
     def test_span_canonical_order(self):
         out = span(BlockSequence((s(1, {0: 1}), s(1, {1: 1}))))

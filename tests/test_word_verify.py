@@ -62,8 +62,8 @@ def test_oracle_calls_none_of_the_code_it_checks(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle called the span code it checks")
 
-    for module, name in ((W, "span_words"), (W, "compose"), (W, "_iter_span"),
-                         (W, "_slot_options"), (W, "eval_segment")):
+    for module, name in ((W, "span_words"), (W, "compose"), (W, "_slot_pieces"),
+                         (W, "span_combinations"), (W, "eval_segment")):
         monkeypatch.setattr(module, name, forbidden)
     Y = _sequence(random.Random(5), GRADED, 2, "signed", (1, 2))
     assert oracle_span_words(Y) == brute_force_span(Y)

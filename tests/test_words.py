@@ -14,6 +14,7 @@ from blockramsey import (
     Segment,
     Var,
     VarWordSequence,
+    Word,
     approx_negT,
     classify,
     compatible,
@@ -33,9 +34,13 @@ from blockramsey import (
     substitute,
     tetris_word,
 )
+from blockramsey.sampling import random_sequence
 from blockramsey.words import tetris_power, word
 
 AB = Alphabet.make([["0", "a", "b", "c"]], "0")
+AB01 = Alphabet.make([["0", "a"]], "0")
+# the substitution letter "a" is only allowed from generator index 1 on
+GRADED = Alphabet.make([["0"], ["0", "a"]], "0")
 INF = float("inf")
 
 
@@ -152,8 +157,14 @@ class TestCompose:
         assert classify(out) == 0
 
 
-def brute_span_words(Y):
-    """Assignment-level brute force over all parameter choices."""
+def brute_span_words(Y, kind="words"):
+    """Assignment-level brute force over all parameter choices.
+
+    kind "words" keeps the full-class elements of the span, "negT" those of
+    the (-T) span (pieces (-T)^j(x) or x[lam], some generator kept whole
+    with sign +1), and "letters" every concatenation of substituted
+    generators.
+    """
     k, mode = Y.k, Y.mode
     arity = k if mode == "unsigned" else 2 * k
     signs = (1,) if mode == "unsigned" else (1, -1)
@@ -165,19 +176,26 @@ def brute_span_words(Y):
             for pos in subset:
                 opts = []
                 level = sorted(Y.alphabet.level_at(Y.indices[pos]), key=str)
-                for j in range(k + 1):
-                    for s in signs:
-                        opts.append((s, j, None))
+                if kind == "words":
+                    for j in range(k + 1):
+                        for s in signs:
+                            opts.append((s, j, None))
+                elif kind == "negT":
+                    for j in range(k + 1):
+                        opts.append(((-1) ** j, j, None))
                 for lam in itertools.product(level, repeat=arity):
                     opts.append((1, 0, lam))
                 per_slot.append(opts)
             for choice in itertools.product(*per_slot):
+                if kind == "negT" and not any(
+                        s == 1 and j == 0 and lam is None for s, j, lam in choice):
+                    continue
                 segs = tuple(
                     Segment(Y.indices[p], s, j, lam)
                     for p, (s, j, lam) in zip(subset, choice)
                 )
                 w = compose(Y, Decomposition(segs))
-                if classify(w) == k:
+                if kind == "letters" or classify(w) == k:
                     out.add(w)
     return out
 
@@ -228,12 +246,33 @@ class TestSpans:
             X = VarWordSequence(mode_words)
             assert set(span_negT(X)) <= set(span_words(X))
 
-    def test_subset_bound(self):
-        X = VarWordSequence((sw(1, [1]), sw(1, ["a", 1])))
-        only_single = span_words(X, subset_bound=1)
-        assert all(
-            len(parse_support(X, w).segments) == 1 for w in only_single
-        )
+    @pytest.mark.parametrize("mode,k,alphabet,lengths,positions", [
+        ("unsigned", 1, AB01, (1, 2, 4), None),
+        ("unsigned", 1, GRADED, (1, 2, 4), None),
+        ("unsigned", 2, AB01, (1, 2), None),
+        ("unsigned", 2, GRADED, (1, 2, 4), None),
+        ("signed", 1, AB01, (1, 2, 4), None),
+        ("signed", 1, GRADED, (1, 2, 4), None),
+        ("signed", 1, GRADED, (2, 3), None),
+        ("signed", 2, AB01, (1, 2), None),
+        ("signed", 2, GRADED, (1, 2), None),
+        ("signed", 2, GRADED, (2, 3), None),
+        ("unsigned", 1, GRADED, (1, 2, 4), (1, 2)),
+        ("signed", 2, GRADED, (1, 2, 4), (1, 2)),
+    ])
+    def test_three_spans_match_brute_force(self, mode, k, alphabet, lengths,
+                                           positions):
+        rng = random.Random(f"{mode}-{k}-{lengths}-{positions}")
+        X = random_sequence(rng, alphabet, k, mode, lengths)
+        if positions is not None:
+            X = X.subsequence(positions)
+            assert X.indices[0] == 1
+        spans = {"words": span_words, "letters": span_letters}
+        if mode == "signed":
+            spans["negT"] = span_negT
+        for kind, fn in spans.items():
+            want = sorted(brute_span_words(X, kind), key=Word.sort_key)
+            assert fn(X) == want, kind
 
 
 class TestParse:
