@@ -31,8 +31,6 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-import numpy as np
-
 from . import words as W
 from .encodings import (
     DerivedPair,
@@ -195,27 +193,6 @@ class Colouring:
             return f"custom:{self.spec['name']}"
         return kind
 
-    def __getstate__(self):
-        if self.spec["kind"] == "custom":
-            return {"arity": self.arity, "r": self.r, "spec": self.spec,
-                    "fn": self.fn}
-        return {"arity": self.arity, "r": self.r, "spec": self.spec}
-
-    def __setstate__(self, state):
-        spec = state["spec"]
-        if spec["kind"] == "family":
-            fn = _family_fn(spec["name"], state["r"], state["arity"])
-        elif spec["kind"] == "seeded":
-            rebuilt = Colouring.seeded(spec["seed"], state["r"], state["arity"])
-            fn = rebuilt.fn
-        elif spec["kind"] == "table":
-            rebuilt = Colouring.table(spec["mapping"], state["r"],
-                                      state["arity"], spec["default"])
-            fn = rebuilt.fn
-        else:
-            fn = state["fn"]
-        self.__init__(state["arity"], state["r"], spec, fn)
-
 
 @dataclass(frozen=True)
 class SearchProblem:
@@ -373,56 +350,57 @@ class _VectorKernel:
     vector's cell in the grid of all B**N value assignments.  Feasible
     colour sets are bitmasks (bit c set when colour c is possible).
 
-    Radius 0 colours each universe element lazily, once.  Radius 1 colours
-    the whole universe into the grid and ORs every axis with its +-1
-    shifts: the sup-norm unit ball is a box, so that dilation is exactly
-    the union over the ball.
+    Cells are coloured on demand, once each: a cell maps to `1 << colour`,
+    or to 0 when it lies outside the universe.  The sup-norm ball of
+    radius 1 is a box of cells, so a span element's feasible colours are
+    the OR over its box (at radius 0, over the element alone).
     """
 
     def __init__(self, problem: SearchProblem, colouring: Colouring,
                  universe: list[BlockVector]):
-        k, N = problem.k, problem.N
-        lo = -k if problem.mode == SIGNED else 0
-        self.B = k + 1 - lo
-        self.powers = [self.B ** n for n in range(N)]
+        lo = -problem.k if problem.mode == SIGNED else 0
+        self.B = problem.k + 1 - lo
+        self.powers = [self.B ** n for n in range(problem.N)]
         self.base = -lo * sum(self.powers)
         self.universe = universe
         self.colouring = colouring
         self.radius = problem.radius
-        codes = [self.code(p.entries) for p in universe]
-        self.index = dict(zip(codes, range(len(universe))))
+        self.index = {self.code(p.entries): i for i, p in enumerate(universe)}
         self.min_supports = [p.min_support for p in universe]
         self._variants = {}
-        if problem.radius == 0:
-            self._colour_bits = {}
-            return
-        # one bit per colour; past 64 colours numpy needs Python ints
-        dtype = np.uint64 if problem.r <= 64 else object
-        grid = np.zeros(self.B ** N, dtype=dtype)
-        grid[np.array(codes, dtype=np.int64) + self.base] = np.array(
-            [1 << colouring(p) for p in universe], dtype=dtype)
-        self._colours = grid.tolist()
-        cube = grid.reshape((self.B,) * N)
-        for axis in range(N):
-            src = cube.swapaxes(0, axis)
-            out = src.copy()
-            out[1:] |= src[:-1]
-            out[:-1] |= src[1:]
-            cube = out.swapaxes(0, axis)
-        self._dilated = cube.reshape(-1).tolist()
+        self._colour_bits = {}
 
     def code(self, entries) -> int:
         return sum(v * self.powers[n] for n, v in entries)
 
-    def feasible(self, code: int) -> int:
-        """Colours that the span element `code` allows, as a bitmask."""
-        if self.radius:
-            return self._dilated[code + self.base]
+    def _bits(self, code: int) -> int:
         bits = self._colour_bits.get(code)
         if bits is None:
-            p = self.universe[self.index[code]]
-            bits = self._colour_bits[code] = 1 << self.colouring(p)
+            i = self.index.get(code)
+            bits = 0 if i is None else 1 << self.colouring(self.universe[i])
+            self._colour_bits[code] = bits
         return bits
+
+    def box(self, code: int) -> list[int]:
+        """Codes of every cell within sup-norm distance `radius` of `code`."""
+        codes = [code]
+        if self.radius:
+            cell = code + self.base
+            for step in self.powers:
+                digit = cell // step % self.B
+                shifts = [d * step for d in (-1, 0, 1) if 0 <= digit + d < self.B]
+                codes = [c + s for c in codes for s in shifts]
+        return codes
+
+    def feasible(self, code: int, want: int) -> int:
+        """The colours of `want` that the span element `code` allows, as a
+        bitmask; the walk over its box stops once all of them are seen."""
+        seen = 0
+        for c in self.box(code):
+            seen |= self._bits(c)
+            if seen & want == want:
+                return want
+        return seen & want
 
     def variants(self, ci: int) -> list[tuple[int, int]]:
         """(code, tetris exponent) of every signed tetris image of a block."""
@@ -436,17 +414,11 @@ class _VectorKernel:
         return self._variants[ci]
 
     def neighbour(self, code: int, colour: int) -> BlockVector:
-        """Least universe member within sup-norm distance 1 of `code` that
-        has the colour, in canonical order."""
-        cell = code + self.base
-        cells = [cell]
-        for step in self.powers:
-            digit = cell // step % self.B
-            shifts = [d * step for d in (-1, 0, 1) if 0 <= digit + d < self.B]
-            cells = [c + s for c in cells for s in shifts]
+        """Least universe member within sup-norm distance `radius` of `code`
+        that has the colour, in canonical order."""
         bit = 1 << colour
-        return self.universe[min(self.index[c - self.base] for c in cells
-                                 if self._colours[c] & bit)]
+        return self.universe[min(self.index[c] for c in self.box(code)
+                                 if self._bits(c) & bit)]
 
 
 def _dfs(m: int, candidates: Callable, pieces: Callable, feasible: Callable,
@@ -458,8 +430,9 @@ def _dfs(m: int, candidates: Callable, pieces: Callable, feasible: Callable,
     (value, exponent) pairs.  An element of a prefix's span takes one piece
     from each slot of a nonempty set of slots: values add (integer codes,
     or symbol tuples that concatenate) and exponents take their minimum,
-    so exponent 0 marks a span element.  `feasible(value)` is the bitmask
-    of colours that a span element allows (bit c for colour c).
+    so exponent 0 marks a span element.  `feasible(value, want)` is the
+    bitmask of the colours in `want` (the ones still alive) that a span
+    element allows (bit c for colour c).
 
     A node is one evaluated candidate prefix; a dead end is a node whose
     partial span already excludes every colour.  Returns (prefix, span,
@@ -480,7 +453,7 @@ def _dfs(m: int, candidates: Callable, pieces: Callable, feasible: Callable,
             colours = feas
             for value, exp in fresh:
                 if exp == 0:
-                    colours &= feasible(value)
+                    colours = feasible(value, colours)
                     if not colours:
                         break
             if not colours:
@@ -617,13 +590,13 @@ def search_ghj(alphabet: Alphabet, k: int, mode: str, r: int,
             piece_cache[slot, wrd] = W._slot_pieces(_single_seq(wrd, slot), 0)
         return piece_cache[slot, wrd]
 
-    def feasible(syms) -> int:
+    def feasible(syms, want: int) -> int:
         if syms not in feas_cache:
             bits = 0
             for y in word_ball(Word(k, mode, alphabet, syms), radius):
                 bits |= 1 << colouring(y)
             feas_cache[syms] = bits
-        return feas_cache[syms]
+        return feas_cache[syms] & want
 
     found = _dfs(len(lengths), lambda prefix: candidates[len(prefix)], pieces,
                  feasible, r)
@@ -736,6 +709,10 @@ class VerifyReport:
 def verify_witness(witness: Witness, colouring: Colouring) -> VerifyReport:
     """Re-enumerate the witness span independently and re-check the colour
     condition; failures are reported, never raised.
+
+    The certificate is informational and is not read: the verdict comes
+    from the re-enumerated span alone, so an edited or empty certificate
+    gives the same report.
 
     A malformed request raises ValueError instead: a colouring with another
     number of colours than the witness, or a vector witness with a block
@@ -891,7 +868,7 @@ def witness_from_dict(data: dict) -> Witness:
         raise ValueError("a witness must be a JSON object")
     kind = data.get("kind")
     if not isinstance(kind, str) or kind not in _KIND_FIELDS:
-        raise ValueError(f"unknown witness kind {kind!r}")
+        raise ValueError(f"unknown witness kind {json.dumps(kind)}")
     for field, want in {**_WITNESS_FIELDS, **_KIND_FIELDS[kind]}.items():
         if not isinstance(json_field(data, field, "the witness"), want):
             raise ValueError(f"the witness field {field!r} must be a JSON "

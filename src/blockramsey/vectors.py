@@ -18,6 +18,7 @@ signed vectors to the unit sphere of c_0.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -39,7 +40,7 @@ class BlockVector:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ValueError(f"unknown mode {json.dumps(self.mode, default=repr)}")
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if not self.entries:

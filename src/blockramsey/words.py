@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -82,7 +83,8 @@ class Alphabet:
             raise ValueError("an alphabet must be a JSON object whose levels "
                              "are lists of letters")
         levels = [frozenset(_token_parse(t) for t in lv) for lv in data["levels"]]
-        return cls(tuple(levels), _token_parse(data["zero"]))
+        return cls(tuple(levels),
+                   _token_parse(json_field(data, "zero", "an alphabet")))
 
 
 def _token_json(token):
@@ -94,7 +96,8 @@ def _token_parse(token):
         return token
     if isinstance(token, list) and all(_is_int(b) for b in token):
         return tuple(token)
-    raise ValueError(f"a letter is a string or a list of bits, not {token!r}")
+    raise ValueError(f"a letter is a string or a list of bits, not "
+                     f"{json.dumps(token)}")
 
 
 @dataclass(frozen=True)
@@ -128,7 +131,7 @@ class Word:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise ValueError(f"unknown mode {json.dumps(self.mode, default=repr)}")
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if not self.symbols:
@@ -142,7 +145,8 @@ class Word:
                     raise ValueError("negative variable in unsigned mode")
             elif isinstance(sym, Letter):
                 if sym.token not in self.alphabet.top:
-                    raise ValueError(f"letter {sym.token!r} not in the alphabet")
+                    letter = json.dumps(_token_json(sym.token), default=repr)
+                    raise ValueError(f"letter {letter} not in the alphabet")
             else:
                 raise ValueError(f"bad symbol {sym!r}")
 
@@ -173,7 +177,8 @@ class Word:
         for s in json_objects(symbols, "word symbols"):
             if "var" in s:
                 if not _is_int(s["var"]):
-                    raise ValueError(f"variable index {s['var']!r} is not an integer")
+                    raise ValueError(f"variable index {json.dumps(s['var'])} "
+                                     "is not an integer")
                 syms.append(Var(s["var"]))
             else:
                 syms.append(Letter(_token_parse(

@@ -524,6 +524,9 @@ def test_c10_cli_golden_files():
         (["search", "--mode", "unsigned", "--k", "1", "--N", "4", "--m", "2",
           "--colours", "2", "--family", "support-size-mod"],
          "search_witness.json", 0),
+        (["search", "--mode", "signed", "--k", "1", "--N", "5", "--m", "3",
+          "--colours", "3", "--radius", "1", "--seed", "1"],
+         "search_radius1.json", 0),
         (["selftest", "--seed", "0"], "selftest.json", 0),
     ]
     for args, golden, want_code in cases:
@@ -533,4 +536,5 @@ def test_c10_cli_golden_files():
         )
         assert proc.returncode == want_code, proc.stderr
         assert proc.stdout == (GOLDEN / golden).read_text()
-    _report(10, started, 30.0, "span/search/selftest byte-identical")
+    _report(10, started, 30.0,
+            "span/search (radius 0 and 1)/selftest byte-identical")

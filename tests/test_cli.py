@@ -177,6 +177,33 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("args,quoted", [
+        (("tetris", "--kind", "word", "--input",
+          '{"k":1,"mode":"unsigned","symbols":[{"var":true}]}'),
+         "variable index true "),
+        (("tetris", "--kind", "word", "--alphabet",
+          '{"levels":[[[],[true]]],"zero":[]}', "--input",
+          '{"k":1,"mode":"unsigned","symbols":[{"letter":[true]}]}'),
+         "not [true]"),
+        (("tetris", "--kind", "word", "--input",
+          '{"k":1,"mode":"unsigned","symbols":[{"letter":null}]}'),
+         "not null"),
+        (("tetris", "--kind", "word", "--input",
+          '{"k":1,"mode":null,"symbols":[{"var":1}]}'),
+         "unknown mode null"),
+        (("tetris", "--input", '{"k":1,"mode":null,"entries":[[0,1]]}'),
+         "unknown mode null"),
+        (("tetris", "--input", '{"k":1,"mode":["signed"],"entries":[[0,1]]}'),
+         'unknown mode ["signed"]'),
+        (("verify", "--witness", '{"kind":null}'), "unknown witness kind null"),
+    ])
+    def test_rejected_value_is_quoted_as_json(self, capfd, args, quoted):
+        # the message echoes the value as the user wrote it, not as Python
+        code, out, err = run_inproc(capfd, *args)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and quoted in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_verify_witness_block_with_string_k_is_1(self, capfd, tmp_path):
         path = Path(self._witness_file(capfd, tmp_path)[1:])
         data = json.loads(path.read_text())
@@ -195,6 +222,9 @@ class TestExitCodes:
          "a block vector lacks the field 'mode'"),
         (("tetris", "--kind", "word", "--input", '{"k":1,"mode":"unsigned"}'),
          "a word lacks the field 'symbols'"),
+        (("tetris", "--kind", "word", "--alphabet", '{"levels":[["0"]]}',
+          "--input", '{"k":1,"mode":"unsigned","symbols":[{"var":1}]}'),
+         "an alphabet lacks the field 'zero'"),
     ])
     def test_missing_field_is_named(self, capfd, args, message):
         code, out, err = run_inproc(capfd, *args)

@@ -1,5 +1,6 @@
-"""The integer colour-grid kernel of the vector search, against the
-independent `vector_ball` oracle, plus pinned search outcomes."""
+"""The integer-cell kernel of the vector search (on-demand colouring and
+box walks), against the independent `vector_ball` oracle, plus pinned
+search outcomes."""
 
 import hashlib
 
@@ -15,13 +16,13 @@ from blockramsey import (
 )
 from blockramsey.search import _VectorKernel, canonical_json, vector_ball
 
-GRID_COLOURINGS = [
+KERNEL_COLOURINGS = [
     ("min-position-mod", 3), ("weighted-sum-mod", 2),
     ("value-at-min-support", 3), ("support-size-mod", 2),
     (11, 2), (12, 3),
 ]
 # (k, N): every signed universe with N <= 5 whose balls stay cheap to build
-GRID_SIZES = [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (2, 4)]
+KERNEL_SIZES = [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (2, 4)]
 
 
 def _colouring(spec, r):
@@ -30,36 +31,48 @@ def _colouring(spec, r):
     return Colouring.family(spec, r)
 
 
-def _kernel(k, N, colouring, r):
-    problem = SearchProblem(mode="signed", k=k, r=r, N=N, m=1, radius=1)
+def _kernel(k, N, colouring, r, radius):
+    problem = SearchProblem(mode="signed", k=k, r=r, N=N, m=1, radius=radius)
     universe = enumerate_universe(k, N, "signed")
     return universe, _VectorKernel(problem, colouring, universe)
 
 
-@pytest.mark.parametrize("k,N", GRID_SIZES)
-@pytest.mark.parametrize("spec,r", GRID_COLOURINGS)
+def _colours(bits, r):
+    return frozenset(c for c in range(r) if bits >> c & 1)
+
+
+@pytest.mark.parametrize("k,N", KERNEL_SIZES)
+@pytest.mark.parametrize("spec,r", KERNEL_COLOURINGS)
 def test_grid_feasibility_and_neighbours_match_ball(k, N, spec, r):
+    # "grid" is the cell grid of all B**N value assignments that codes index
     colouring = _colouring(spec, r)
-    universe, kernel = _kernel(k, N, colouring, r)
-    for p in universe:
-        ball = vector_ball(p, N, 1)
-        expected = frozenset(colouring(q) for q in ball)
-        code = kernel.code(p.entries)
-        bits = kernel.feasible(code)
-        assert frozenset(c for c in range(r) if bits >> c & 1) == expected
-        for colour in expected:
-            first = next(q for q in ball if colouring(q) == colour)
-            assert kernel.neighbour(code, colour) == first
+    full = (1 << r) - 1
+    # the partial mask leaves colour 1 out: the result must drop it, and a
+    # walk may stop as soon as the other colours are seen
+    for radius in (0, 1):
+        for want in (full, full & ~2):
+            universe, kernel = _kernel(k, N, colouring, r, radius)
+            for p in universe:
+                ball = vector_ball(p, N, radius)
+                expected = frozenset(colouring(q) for q in ball)
+                code = kernel.code(p.entries)
+                bits = kernel.feasible(code, want)
+                assert _colours(bits, r) == expected & _colours(want, r)
+                for colour in expected:
+                    first = next(q for q in ball if colouring(q) == colour)
+                    assert kernel.neighbour(code, colour) == first
 
 
 def test_grid_with_more_colours_than_a_machine_word():
-    # 70 colours do not fit a 64-bit mask; the grid keeps Python ints
+    # 70 colours do not fit a 64-bit mask; the bitmasks are Python ints
     colouring = Colouring.seeded(5, 70)
-    universe, kernel = _kernel(1, 3, colouring, 70)
-    for p in universe:
-        expected = frozenset(colouring(q) for q in vector_ball(p, 3, 1))
-        bits = kernel.feasible(kernel.code(p.entries))
-        assert frozenset(c for c in range(70) if bits >> c & 1) == expected
+    for radius in (0, 1):
+        universe, kernel = _kernel(1, 3, colouring, 70, radius)
+        for p in universe:
+            expected = frozenset(colouring(q)
+                                 for q in vector_ball(p, 3, radius))
+            bits = kernel.feasible(kernel.code(p.entries), (1 << 70) - 1)
+            assert _colours(bits, 70) == expected
 
 
 def _sign_at_min_support(p):

@@ -446,16 +446,6 @@ class TestCertificates:
         want = [w.to_dict() for w in span_words(res.words)]
         assert [e["element"] for e in res.certificate] == want
 
-    def test_colourings_pickle(self):
-        import pickle
-        p = BlockVector.make(2, "signed", {0: -2, 1: 1})
-        for c in (Colouring.family("weighted-sum-mod", 3),
-                  Colouring.seeded(7, 3),
-                  Colouring.table({element_key(p): 2}, 3, default=0)):
-            copy = pickle.loads(pickle.dumps(c))
-            assert copy(p) == c(p)
-            assert copy.rule_name() == c.rule_name()
-
     def test_word_witness_json_round_trip(self):
         c = Colouring.seeded(13, 2, arity="word")
         res = search_ghj(AB, 1, "unsigned", 2, c, (1, 2))
@@ -505,6 +495,24 @@ class TestValidation:
         for N in (reach, 1):
             with pytest.raises(ValueError, match="outside"):
                 verify_witness(dataclasses.replace(res, N=N), c)
+
+    def test_verify_ignores_the_certificate(self):
+        # the certificate is informational: the verdict re-enumerates the span
+        import dataclasses
+        vec = Colouring.family("support-size-mod", 2)
+        wrd = Colouring.seeded(13, 2, arity="word")
+        cases = [
+            (search_exact(SearchProblem("unsigned", 1, 2, 4, 2), vec), vec),
+            (search_approx(SearchProblem("signed", 1, 2, 3, 2, radius=1), vec),
+             vec),
+            (search_ghj(AB, 1, "unsigned", 2, wrd, (1, 2)), wrd),
+        ]
+        for res, c in cases:
+            assert isinstance(res, Witness) and res.certificate
+            report = verify_witness(res, c)
+            assert report.passed
+            blank = dataclasses.replace(res, certificate=())
+            assert verify_witness(blank, c) == report
 
     def test_problem_validation(self):
         with pytest.raises(ValueError):
