@@ -43,6 +43,7 @@ from .encodings import (
 )
 from .sampling import random_satisfying_string, random_span_element
 from .vectors import (
+    MODES,
     SIGNED,
     UNSIGNED,
     BlockSequence,
@@ -289,10 +290,12 @@ def enumerate_universe(k: int, N: int, mode: str) -> list[BlockVector]:
     return out
 
 
-def vector_ball(p: BlockVector, N: int, radius: int) -> list[BlockVector]:
-    """Universe members within sup-norm distance radius of p, canonical order."""
+def iter_vector_ball(p: BlockVector, N: int, radius: int):
+    """Yield the universe members within sup-norm distance radius of p, in
+    value-grid order, building each one only when it is asked for."""
     if radius == 0:
-        return [p]
+        yield p
+        return
     k, mode = p.k, p.mode
     vals = dict(p.entries)
     choices = []
@@ -300,19 +303,23 @@ def vector_ball(p: BlockVector, N: int, radius: int) -> list[BlockVector]:
         v = vals.get(n, 0)
         lo = 0 if mode == UNSIGNED else -k
         choices.append([u for u in range(v - radius, v + radius + 1) if lo <= u <= k])
-    out = []
     for combo in itertools.product(*choices):
         entries = tuple((n, u) for n, u in enumerate(combo) if u != 0)
         if entries and max(abs(u) for _, u in entries) == k:
-            out.append(BlockVector(k, mode, entries))
-    out.sort(key=BlockVector.sort_key)
-    return out
+            yield BlockVector(k, mode, entries)
 
 
-def word_ball(x: Word, radius: int) -> list[Word]:
-    """Compatible full-class words within word distance radius of x."""
+def vector_ball(p: BlockVector, N: int, radius: int) -> list[BlockVector]:
+    """Universe members within sup-norm distance radius of p, canonical order."""
+    return sorted(iter_vector_ball(p, N, radius), key=BlockVector.sort_key)
+
+
+def iter_word_ball(x: Word, radius: int):
+    """Yield the compatible full-class words within word distance radius of
+    x in canonical (Word.sort_key) order, building each only when asked."""
     if radius == 0:
-        return [x]
+        yield x
+        return
     k = x.k
     zero = x.alphabet.zero
     fixed = W._letter_positions(x)
@@ -333,12 +340,15 @@ def word_ball(x: Word, radius: int) -> list[Word]:
     # a combo has full class iff some position holds v_k or v_-k
     full = [[isinstance(s, Var) and abs(s.index) == k for s in opts]
             for opts in choices]
-    return [
-        Word(k, x.mode, x.alphabet, combo)
-        for combo, flags in zip(itertools.product(*choices),
-                                itertools.product(*full))
-        if any(flags)
-    ]
+    for combo, flags in zip(itertools.product(*choices),
+                            itertools.product(*full)):
+        if any(flags):
+            yield Word(k, x.mode, x.alphabet, combo)
+
+
+def word_ball(x: Word, radius: int) -> list[Word]:
+    """Compatible full-class words within word distance radius of x."""
+    return list(iter_word_ball(x, radius))
 
 
 class _VectorKernel:
@@ -591,12 +601,22 @@ def search_ghj(alphabet: Alphabet, k: int, mode: str, r: int,
         return piece_cache[slot, wrd]
 
     def feasible(syms, want: int) -> int:
-        if syms not in feas_cache:
-            bits = 0
-            for y in word_ball(Word(k, mode, alphabet, syms), radius):
+        # [colours seen so far, the ball walker that resumes from there]; the
+        # walk stops at the first point where every colour of want is seen
+        entry = feas_cache.get(syms)
+        if entry is None:
+            entry = feas_cache[syms] = [
+                0, iter_word_ball(Word(k, mode, alphabet, syms), radius)]
+        bits, walker = entry
+        if bits & want != want and walker is not None:
+            for y in walker:
                 bits |= 1 << colouring(y)
-            feas_cache[syms] = bits
-        return feas_cache[syms] & want
+                if bits & want == want:
+                    break
+            else:
+                walker = None
+            entry[:] = bits, walker
+        return bits & want
 
     found = _dfs(len(lengths), lambda prefix: candidates[len(prefix)], pieces,
                  feasible, r)
@@ -611,7 +631,8 @@ def search_ghj(alphabet: Alphabet, k: int, mode: str, r: int,
         if radius == 0:
             cert.append({"element": x.to_dict(), "colour": colouring(x)})
         else:
-            nb = next(y for y in word_ball(x, radius) if colouring(y) == colour)
+            nb = next(y for y in iter_word_ball(x, radius)
+                      if colouring(y) == colour)
             cert.append({
                 "element": x.to_dict(), "neighbour": nb.to_dict(),
                 "colour": colour, "dist": W.dist_words(x, nb),
@@ -714,10 +735,17 @@ def verify_witness(witness: Witness, colouring: Colouring) -> VerifyReport:
     from the re-enumerated span alone, so an edited or empty certificate
     gives the same report.
 
-    A malformed request raises ValueError instead: a colouring with another
-    number of colours than the witness, or a vector witness with a block
-    position outside [0, N).
+    A malformed request raises ValueError instead: a witness whose mode is
+    unknown, whose radius is not 0 or 1, or whose radius is 1 outside signed
+    mode; a colouring with another number of colours than the witness; or a
+    vector witness with a block position outside [0, N).
     """
+    if witness.mode not in MODES:
+        raise ValueError(f"unknown witness mode {json.dumps(witness.mode)}")
+    if witness.radius not in (0, 1):
+        raise ValueError(f"witness radius {witness.radius} is not 0 or 1")
+    if witness.radius == 1 and witness.mode != SIGNED:
+        raise ValueError("a radius-1 witness requires signed mode")
     if colouring.r != witness.r:
         raise ValueError(f"the colouring has {colouring.r} colours but the "
                          f"witness was found with r={witness.r}")
@@ -740,9 +768,9 @@ def verify_witness(witness: Witness, colouring: Colouring) -> VerifyReport:
                     "expected": witness.colour,
                 })
         else:
-            ball = (vector_ball(x, witness.N, witness.radius)
+            ball = (iter_vector_ball(x, witness.N, witness.radius)
                     if witness.kind == "vector" else
-                    word_ball(x, witness.radius))
+                    iter_word_ball(x, witness.radius))
             if not any(colouring(q) == witness.colour for q in ball):
                 failures.append({
                     "element": x.to_dict(),
@@ -836,7 +864,7 @@ def parametrized_pipeline(colouring: Colouring, bounds: PipelineBounds):
             if lifted(z) != found.colour:
                 failures.append({"sample": a.to_dict(), "reason": "colour mismatch"})
         else:
-            near = next((y for y in word_ball(z, 1)
+            near = next((y for y in iter_word_ball(z, 1)
                          if lifted(y) == found.colour), None)
             if near is None:
                 failures.append({"sample": a.to_dict(),

@@ -527,6 +527,12 @@ def test_c10_cli_golden_files():
         (["search", "--mode", "signed", "--k", "1", "--N", "5", "--m", "3",
           "--colours", "3", "--radius", "1", "--seed", "1"],
          "search_radius1.json", 0),
+        (["search", "--kind", "word", "--mode", "signed", "--k", "1",
+          "--lengths", "2,3", "--radius", "1", "--colours", "3", "--seed", "5"],
+         "search_word_radius1.json", 0),
+        (["pipeline", "--mode", "signed", "--k", "1", "--lengths", "2,3",
+          "--family", "support-size-mod", "--samples", "8"],
+         "pipeline_signed.json", 0),
         (["selftest", "--seed", "0"], "selftest.json", 0),
     ]
     for args, golden, want_code in cases:
@@ -537,4 +543,5 @@ def test_c10_cli_golden_files():
         assert proc.returncode == want_code, proc.stderr
         assert proc.stdout == (GOLDEN / golden).read_text()
     _report(10, started, 30.0,
-            "span/search (radius 0 and 1)/selftest byte-identical")
+            "span/search (vector radius 0 and 1, word)/pipeline/selftest "
+            "byte-identical")

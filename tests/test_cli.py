@@ -117,6 +117,22 @@ class TestExitCodes:
         assert err.startswith("error: ") and "outside" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("edits,message", [
+        ({"mode": "foo"}, 'unknown witness mode "foo"'),
+        ({"radius": 7}, "witness radius 7 is not 0 or 1"),
+        ({"mode": "unsigned"}, "a radius-1 witness requires signed mode"),
+    ])
+    def test_verify_witness_mode_or_radius_out_of_range_is_1(
+            self, capfd, tmp_path, edits, message):
+        # these witnesses once got a verdict: "passed": true, exit 0
+        witness = self._witness_file(capfd, tmp_path, **edits)
+        code, out, err = run_inproc(
+            capfd, "verify", "--witness", witness, "--colours", "2",
+            "--family", "support-size-mod",
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("blocks", ['{"entries":5}', '[5]', '[{"entries":5}]'])
     def test_span_malformed_blocks_is_1(self, capfd, blocks):
         code, out, err = run_inproc(capfd, "span", "--blocks", blocks)

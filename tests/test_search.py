@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -381,6 +382,87 @@ class TestBalls:
         for y in ball:
             assert dist_words(x, y) <= 1 and classify(y) == 2
 
+    @pytest.mark.parametrize("radius", [0, 1])
+    def test_walkers_yield_the_balls(self, radius):
+        for x in (mkword(2, "signed", AB, ["a", -1, 2, "0"]),
+                  mkword(1, "signed", AB, [-1, "0", "a", 1]),
+                  mkword(2, "signed", AB, ["0", 1, -2, "a", 1])):
+            assert list(S.iter_word_ball(x, radius)) == word_ball(x, radius)
+        for p, N in ((BlockVector.make(2, "signed", {0: 2, 2: -1}), 4),
+                     (BlockVector.make(1, "signed", {1: -1}), 5),
+                     (BlockVector.make(2, "unsigned", {0: 1, 1: 2}), 3)):
+            walked = sorted(S.iter_vector_ball(p, N, radius),
+                            key=BlockVector.sort_key)
+            assert walked == vector_ball(p, N, radius)
+
+    def test_recoloured_witness_fails_every_element(self):
+        # under a constant colouring no ball holds the other colour, so each
+        # element's walk runs to its end before the failure is recorded
+        import dataclasses
+        vec = search_approx(
+            SearchProblem(mode="signed", k=1, r=2, N=3, m=2, radius=1),
+            Colouring.custom(lambda p: 0, 2))
+        wrd = search_ghj(AB, 1, "signed", 2,
+                         Colouring.custom(lambda w: 0, 2, arity="word"),
+                         (1, 2), radius=1)
+        for res in (vec, wrd):
+            assert isinstance(res, Witness) and res.colour == 0
+            const = Colouring.custom(lambda x: 0, 2, arity=res.kind)
+            report = verify_witness(dataclasses.replace(res, colour=1), const)
+            assert not report.passed
+            assert len(report.failures) == report.checked > 0
+            assert [f["element"] for f in report.failures] == \
+                [e["element"] for e in res.certificate]
+
+    def test_word_feasibility_resumes_its_walk(self, monkeypatch):
+        # a later call that wants more colours continues the cached walk,
+        # so every answer equals the whole ball's colours masked by want
+        captured = []
+        dfs = S._dfs
+
+        def capture(m, candidates, pieces, feasible, r):
+            captured.append(feasible)
+            return dfs(m, candidates, pieces, feasible, r)
+
+        monkeypatch.setattr(S, "_dfs", capture)
+        c = Colouring.seeded(2, 3, arity="word")
+        search_ghj(AB, 1, "signed", 3, c, (1, 2), radius=1)
+        feasible, = captured
+        for x in S.word_candidates(AB, 1, "signed", 3):
+            ball = 0
+            for y in word_ball(x, 1):
+                ball |= 1 << c(y)
+            for want in (1, 2, 4, 7, 3, 7):
+                assert feasible(x.symbols, want) == ball & want
+
+    def test_word_search_colours_only_what_it_needs(self, monkeypatch):
+        # the search stops each ball walk once every live colour is seen, so
+        # it colours far fewer words than the balls of its span elements hold
+        family = Colouring.family("value-at-min-support", 2, arity="word")
+        calls = 0
+
+        def counted(w):
+            nonlocal calls
+            calls += 1
+            return family(w)
+
+        walked = set()
+        walk = S.iter_word_ball
+
+        def recorded(x, radius):
+            walked.add(x)
+            return walk(x, radius)
+
+        monkeypatch.setattr(S, "iter_word_ball", recorded)
+        res = search_ghj(AB, 1, "signed", 2,
+                         Colouring.custom(counted, 2, arity="word"),
+                         (1, 2, 4), radius=1)
+        digest = hashlib.sha256(
+            S.canonical_json(res.to_dict()).encode()).hexdigest()[:16]
+        assert digest == "379e79fd4d9a6b31"  # the whole-ball search's witness
+        full = sum(len(word_ball(x, 1)) for x in walked)
+        assert 0 < calls < full
+
 
 class TestPipeline:
     @pytest.mark.parametrize("mode", ["unsigned", "signed"])
@@ -425,6 +507,18 @@ class TestPipeline:
         res = parametrized_pipeline(c, bounds)
         assert isinstance(res, Exhausted)
         assert res.nodes > 0
+
+    def test_signed_four_generator_pipeline_finishes(self):
+        # the lifted colouring is constant on words, so no ball ever shows
+        # both colours: this finishes only if each walk stops at the first
+        # colour still needed (colouring whole balls takes over 600 s)
+        started = time.perf_counter()
+        c = Colouring.family("support-size-mod", 2, arity="vector_matrix")
+        res = parametrized_pipeline(
+            c, PipelineBounds(mode="signed", k=1, lengths=(1, 2, 4, 8)))
+        elapsed = time.perf_counter() - started
+        assert isinstance(res, PipelineResult) and res.passed
+        assert elapsed < 60.0, f"{elapsed:.1f} s over the 60 s budget"
 
 
 class TestCertificates:
