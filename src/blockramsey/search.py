@@ -48,6 +48,7 @@ from .vectors import (
     UNSIGNED,
     BlockSequence,
     BlockVector,
+    _is_int,
     _tetris_entries,
     json_field,
     linf_dist,
@@ -83,7 +84,9 @@ def _splitmix64(x: int) -> int:
 def element_key(elem) -> str:
     """Canonical serialization used by tables and seeded colourings."""
     if isinstance(elem, BlockVector):
-        return canonical_json(elem.to_dict())
+        # canonical_json(elem.to_dict()), formatted without json.dumps
+        entries = ",".join(f"[{n},{v}]" for n, v in elem.entries)
+        return f'{{"entries":[{entries}],"k":{elem.k},"mode":"{elem.mode}"}}'
     if isinstance(elem, Word):
         return canonical_json(elem.to_dict())
     if isinstance(elem, tuple) and len(elem) == 2:
@@ -263,10 +266,10 @@ class Exhausted:
 MAX_UNIVERSE_CELLS = 10**6
 
 
-def enumerate_universe(k: int, N: int, mode: str) -> list[BlockVector]:
-    """Every valid block vector supported inside [0, N), canonical order.
+def _coordinate_values(k: int, N: int, mode: str) -> range:
+    """The values one coordinate of the universe takes.
 
-    Refuses, before enumerating anything, a request whose value grid
+    Refuses, before anything is enumerated, a request whose value grid
     (2k+1)^N (signed) or (k+1)^N (unsigned) exceeds MAX_UNIVERSE_CELLS.
     """
     if N < 1:
@@ -281,6 +284,16 @@ def enumerate_universe(k: int, N: int, mode: str) -> list[BlockVector]:
             raise ValueError(
                 f"universe of {len(values)}^{N} cells exceeds the cap of "
                 f"{MAX_UNIVERSE_CELLS}; lower k or N")
+    return values
+
+
+def enumerate_universe(k: int, N: int, mode: str) -> list[BlockVector]:
+    """Every valid block vector supported inside [0, N), canonical order.
+
+    Refuses, before enumerating anything, a request whose value grid
+    (2k+1)^N (signed) or (k+1)^N (unsigned) exceeds MAX_UNIVERSE_CELLS.
+    """
+    values = _coordinate_values(k, N, mode)
     out = []
     for combo in itertools.product(values, repeat=N):
         entries = tuple((n, v) for n, v in enumerate(combo) if v != 0)
@@ -352,7 +365,7 @@ def word_ball(x: Word, radius: int) -> list[Word]:
 
 
 class _VectorKernel:
-    """One vector search's universe as integer cells, and its colour oracle.
+    """One vector search's universe as integer codes, and its colour oracle.
 
     A vector on [0, N) is coded as sum(v * B**n) with B = 2k+1 (signed) or
     k+1 (unsigned).  Block supports are disjoint, so the code of a
@@ -360,75 +373,130 @@ class _VectorKernel:
     vector's cell in the grid of all B**N value assignments.  Feasible
     colour sets are bitmasks (bit c set when colour c is possible).
 
-    Cells are coloured on demand, once each: a cell maps to `1 << colour`,
-    or to 0 when it lies outside the universe.  The sup-norm ball of
-    radius 1 is a box of cells, so a span element's feasible colours are
-    the OR over its box (at radius 0, over the element alone).
+    `codes` lists the universe in canonical order and `index` maps a code
+    to its place there.  A code is decoded to a BlockVector only to colour
+    its cell, and for the certificate and the witness.  Cells are coloured
+    on demand, once each: a cell maps to `1 << colour`, or to 0 when it lies
+    outside the universe.  The sup-norm ball of radius 1 is a box of cells,
+    so a span element's feasible colours are the OR over its box (at radius
+    0, over the element alone).
     """
 
-    def __init__(self, problem: SearchProblem, colouring: Colouring,
-                 universe: list[BlockVector]):
-        lo = -problem.k if problem.mode == SIGNED else 0
-        self.B = problem.k + 1 - lo
+    def __init__(self, problem: SearchProblem, colouring: Colouring):
+        values = _coordinate_values(problem.k, problem.N, problem.mode)
+        self.k, self.mode = problem.k, problem.mode
+        self.lo, self.B = values.start, len(values)
         self.powers = [self.B ** n for n in range(problem.N)]
-        self.base = -lo * sum(self.powers)
-        self.universe = universe
+        self.base = -self.lo * sum(self.powers)
         self.colouring = colouring
         self.radius = problem.radius
-        self.index = {self.code(p.entries): i for i, p in enumerate(universe)}
-        self.min_supports = [p.min_support for p in universe]
+        # Built bottom-up over the min support s: `every` codes the vectors
+        # with min support above s, `full` those of them attaining magnitude
+        # k, both in canonical order.  A vector with value v at its min
+        # support s is (s, v) alone or followed by a vector above s, a full
+        # one when |v| < k; canonical order sorts by v, then puts the
+        # alone case before the tail's own order.
+        every, full = [], []
+        sizes = [0] * (problem.N + 1)
+        for s in reversed(range(problem.N)):
+            head_every, head_full = [], []
+            for v in values:
+                if v:
+                    head = v * self.powers[s]
+                    codes = [head] + [head + c for c in every]
+                    head_every += codes
+                    head_full += codes if abs(v) == self.k else \
+                        [head + c for c in full]
+            every, full = head_every + every, head_full + full
+            sizes[s] = len(full)
+        # starts[s]: the first place in `codes` whose min support is >= s
+        self.codes, self.starts = full, [len(full) - size for size in sizes]
+        self.index = {code: i for i, code in enumerate(full)}
         self._variants = {}
         self._colour_bits = {}
 
-    def code(self, entries) -> int:
-        return sum(v * self.powers[n] for n, v in entries)
+    def decode(self, code: int) -> tuple[tuple[int, int], ...]:
+        """The (position, value) entries of the vector with this code."""
+        cell = code + self.base
+        entries = []
+        for n in range(len(self.powers)):
+            cell, digit = divmod(cell, self.B)
+            if digit + self.lo:
+                entries.append((n, digit + self.lo))
+        return tuple(entries)
+
+    def vector(self, code: int) -> BlockVector:
+        return BlockVector(self.k, self.mode, self.decode(code))
+
+    def candidates(self, prefix: list[int]) -> range:
+        """Places of the blocks that can follow the prefix: the universe is
+        sorted by min support, so these are the places past the last
+        block's max support."""
+        if not prefix:
+            return range(len(self.codes))
+        reach = self.decode(self.codes[prefix[-1]])[-1][0]
+        return range(self.starts[reach + 1], len(self.codes))
 
     def _bits(self, code: int) -> int:
         bits = self._colour_bits.get(code)
         if bits is None:
-            i = self.index.get(code)
-            bits = 0 if i is None else 1 << self.colouring(self.universe[i])
+            bits = 0
+            if code in self.index:
+                bits = 1 << self.colouring(self.vector(code))
             self._colour_bits[code] = bits
         return bits
 
-    def box(self, code: int) -> list[int]:
-        """Codes of every cell within sup-norm distance `radius` of `code`."""
-        codes = [code]
-        if self.radius:
-            cell = code + self.base
-            for step in self.powers:
-                digit = cell // step % self.B
-                shifts = [d * step for d in (-1, 0, 1) if 0 <= digit + d < self.B]
-                codes = [c + s for c in codes for s in shifts]
-        return codes
+    def box(self, code: int) -> Iterable[int]:
+        """Codes of every cell within sup-norm distance `radius` of `code`,
+        yielded lazily at radius 1 (position 0 varies slowest)."""
+        if not self.radius:
+            return (code,)
+        cell = code + self.base
+        shifts = []
+        for step in self.powers:
+            digit = cell // step % self.B
+            shifts.append([d * step for d in (-1, 0, 1) if 0 <= digit + d < self.B])
+        return map(code.__add__, map(sum, itertools.product(*shifts)))
 
     def feasible(self, code: int, want: int) -> int:
         """The colours of `want` that the span element `code` allows, as a
         bitmask; the walk over its box stops once all of them are seen."""
         seen = 0
+        cached = self._colour_bits.get
         for c in self.box(code):
-            seen |= self._bits(c)
+            bits = cached(c)
+            seen |= self._bits(c) if bits is None else bits
             if seen & want == want:
                 return want
         return seen & want
 
     def variants(self, ci: int) -> list[tuple[int, int]]:
-        """(code, tetris exponent) of every signed tetris image of a block."""
-        if ci not in self._variants:
-            b = self.universe[ci]
-            signs = (1, -1) if b.mode == SIGNED else (1,)
-            self._variants[ci] = [
-                (self.code(_tetris_entries(b.entries, j, s)), j)
-                for j in range(b.k) for s in signs
-            ]
-        return self._variants[ci]
+        """(code, tetris exponent) of every signed tetris image of a block,
+        computed from the digits of its code."""
+        out = self._variants.get(ci)
+        if out is None:
+            code = self.codes[ci]
+            signs = (1, -1) if self.mode == SIGNED else (1,)
+            out = [(s * code, 0) for s in signs]
+            if self.k > 1:
+                entries = self.decode(code)
+                for j in range(1, self.k):
+                    image = sum((v - j if v > 0 else v + j) * self.powers[n]
+                                for n, v in entries if abs(v) > j)
+                    out += [(s * image, j) for s in signs]
+            self._variants[ci] = out
+        return out
 
     def neighbour(self, code: int, colour: int) -> BlockVector:
         """Least universe member within sup-norm distance `radius` of `code`
-        that has the colour, in canonical order."""
+        that has the colour, in canonical order; cells are coloured in that
+        order until the first one with the colour."""
         bit = 1 << colour
-        return self.universe[min(self.index[c] for c in self.box(code)
-                                 if self._bits(c) & bit)]
+        # cells outside the universe sort first, as index -1
+        places = sorted(map(self.index.get, self.box(code), itertools.repeat(-1)))
+        return next(self.vector(self.codes[i])
+                    for i in places[bisect.bisect_left(places, 0):]
+                    if self._bits(self.codes[i]) & bit)
 
 
 def _dfs(m: int, candidates: Callable, pieces: Callable, feasible: Callable,
@@ -486,19 +554,9 @@ def _dfs(m: int, candidates: Callable, pieces: Callable, feasible: Callable,
 def _vector_search(problem: SearchProblem, colouring: Colouring):
     if colouring.arity != "vector":
         raise ValueError("vector searches need a vector colouring")
-    universe = enumerate_universe(problem.k, problem.N, problem.mode)
-    kernel = _VectorKernel(problem, colouring, universe)
-
-    def candidates(prefix):
-        if not prefix:
-            return range(len(universe))
-        # the universe is sorted by min support: block-ordered candidates
-        # are exactly those past the last block's max support
-        start = bisect.bisect_right(kernel.min_supports,
-                                    universe[prefix[-1]].max_support)
-        return range(start, len(universe))
-
-    found = _dfs(problem.m, candidates, lambda slot, ci: kernel.variants(ci),
+    kernel = _VectorKernel(problem, colouring)
+    found = _dfs(problem.m, kernel.candidates,
+                 lambda slot, ci: kernel.variants(ci),
                  kernel.feasible, problem.r)
     if isinstance(found, Exhausted):
         return found
@@ -508,7 +566,7 @@ def _vector_search(problem: SearchProblem, colouring: Colouring):
     members = sorted((kernel.index[code], code) for code, j in span if j == 0)
     cert = []
     for i, code in members:
-        p = universe[i]
+        p = kernel.vector(code)
         if problem.radius == 0:
             cert.append({"element": p.to_dict(), "colour": colour})
         else:
@@ -520,7 +578,8 @@ def _vector_search(problem: SearchProblem, colouring: Colouring):
     return Witness(
         kind="vector", mode=problem.mode, k=problem.k, r=problem.r,
         radius=problem.radius, colour=colour, certificate=tuple(cert),
-        blocks=BlockSequence(tuple(universe[i] for i in prefix)),
+        blocks=BlockSequence(tuple(kernel.vector(kernel.codes[i])
+                                   for i in prefix)),
         N=problem.N, rule=colouring.rule_name(),
     )
 
@@ -898,7 +957,8 @@ def witness_from_dict(data: dict) -> Witness:
     if not isinstance(kind, str) or kind not in _KIND_FIELDS:
         raise ValueError(f"unknown witness kind {json.dumps(kind)}")
     for field, want in {**_WITNESS_FIELDS, **_KIND_FIELDS[kind]}.items():
-        if not isinstance(json_field(data, field, "the witness"), want):
+        value = json_field(data, field, "the witness")
+        if not (_is_int(value) if want is int else isinstance(value, want)):
             raise ValueError(f"the witness field {field!r} must be a JSON "
                              f"{_JSON_TYPE_NAMES[want]}")
     common = dict(

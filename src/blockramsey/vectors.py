@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-import numpy as np
-
 UNSIGNED = "unsigned"
 SIGNED = "signed"
 MODES = (UNSIGNED, SIGNED)
@@ -310,6 +308,8 @@ def net_defect(B: BlockSequence, delta: float, sample_count: int, seed: int) -> 
     normalizes to sup-norm 1, and measures distance to the embedded span.
     Requires (1+delta)^(1-k) < delta so that the image grid is delta-dense.
     """
+    import numpy as np  # only here, so importing the library stays light
+
     if B.mode != SIGNED:
         raise ValueError("net_defect requires signed mode")
     if sample_count < 1:

@@ -154,6 +154,22 @@ class TestExitCodes:
         assert err.startswith("error: ") and "'N'" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("edits,field", [
+        ({"colour": False, "radius": False}, "radius"),
+        ({"colour": False}, "colour"),
+        ({"N": True}, "N"),
+    ])
+    def test_verify_witness_boolean_integer_field_is_1(
+            self, capfd, tmp_path, edits, field):
+        # JSON booleans are not integers, although isinstance(True, int) holds
+        witness = self._witness_file(capfd, tmp_path, **edits)
+        code, out, err = run_inproc(
+            capfd, "verify", "--witness", witness, "--colours", "2",
+            "--family", "support-size-mod",
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: the witness field {field!r} must be a JSON integer\n"
+
     def test_verify_word_witness_with_malformed_words_is_1(self, capfd, tmp_path):
         code, out, _ = run_inproc(
             capfd, "search", "--kind", "word", "--mode", "unsigned",

@@ -1,6 +1,7 @@
-"""The integer-cell kernel of the vector search (on-demand colouring and
-box walks), against the independent `vector_ball` oracle, plus pinned
-search outcomes."""
+"""The integer-coded kernel of the vector search (its universe codes, tetris
+variants, on-demand colouring and box walks), against the independent
+`enumerate_universe`, `_tetris_entries` and `vector_ball` oracles, plus
+pinned search outcomes."""
 
 import hashlib
 
@@ -14,7 +15,13 @@ from blockramsey import (
     search_approx,
     search_exact,
 )
-from blockramsey.search import _VectorKernel, canonical_json, vector_ball
+from blockramsey.search import (
+    _VectorKernel,
+    canonical_json,
+    element_key,
+    vector_ball,
+)
+from blockramsey.vectors import _tetris_entries
 
 KERNEL_COLOURINGS = [
     ("min-position-mod", 3), ("weighted-sum-mod", 2),
@@ -33,8 +40,13 @@ def _colouring(spec, r):
 
 def _kernel(k, N, colouring, r, radius):
     problem = SearchProblem(mode="signed", k=k, r=r, N=N, m=1, radius=radius)
-    universe = enumerate_universe(k, N, "signed")
-    return universe, _VectorKernel(problem, colouring, universe)
+    # the universe comes from the independent generate-then-sort oracle
+    return enumerate_universe(k, N, "signed"), _VectorKernel(problem, colouring)
+
+
+def _code(kernel, entries):
+    # the vector's code: sum(v * B**n) over its entries
+    return sum(v * kernel.B ** n for n, v in entries)
 
 
 def _colours(bits, r):
@@ -55,7 +67,7 @@ def test_grid_feasibility_and_neighbours_match_ball(k, N, spec, r):
             for p in universe:
                 ball = vector_ball(p, N, radius)
                 expected = frozenset(colouring(q) for q in ball)
-                code = kernel.code(p.entries)
+                code = _code(kernel, p.entries)
                 bits = kernel.feasible(code, want)
                 assert _colours(bits, r) == expected & _colours(want, r)
                 for colour in expected:
@@ -71,8 +83,69 @@ def test_grid_with_more_colours_than_a_machine_word():
         for p in universe:
             expected = frozenset(colouring(q)
                                  for q in vector_ball(p, 3, radius))
-            bits = kernel.feasible(kernel.code(p.entries), (1 << 70) - 1)
+            bits = kernel.feasible(_code(kernel, p.entries), (1 << 70) - 1)
             assert _colours(bits, 70) == expected
+
+
+# (mode, k, N): every universe with k <= 3 of at most a few hundred cells
+UNIVERSES = [(mode, k, N) for mode in ("unsigned", "signed")
+             for k, top in ((1, 5), (2, 4), (3, 3)) for N in range(1, top + 1)]
+
+
+def _bare_kernel(mode, k, N):
+    problem = SearchProblem(mode=mode, k=k, r=2, N=N, m=1)
+    return _VectorKernel(problem, Colouring.seeded(0, 2))
+
+
+@pytest.mark.parametrize("mode,k,N", UNIVERSES)
+def test_codes_follow_the_enumerated_universe(mode, k, N):
+    # the codes are generated in canonical order; enumerate_universe
+    # generates every value assignment and sorts
+    universe = enumerate_universe(k, N, mode)
+    kernel = _bare_kernel(mode, k, N)
+    assert kernel.codes == [_code(kernel, p.entries) for p in universe]
+    assert kernel.index == {c: i for i, c in enumerate(kernel.codes)}
+    assert list(kernel.candidates([])) == list(range(len(universe)))
+    for i, (code, p) in enumerate(zip(kernel.codes, universe)):
+        assert kernel.vector(code) == p
+        assert list(kernel.candidates([i])) == [
+            j for j, q in enumerate(universe) if q.min_support > p.max_support]
+
+
+@pytest.mark.parametrize("mode,k,N", UNIVERSES)
+def test_variants_are_the_tetris_images(mode, k, N):
+    kernel = _bare_kernel(mode, k, N)
+    signs = (1, -1) if mode == "signed" else (1,)
+    for ci, p in enumerate(enumerate_universe(k, N, mode)):
+        assert kernel.variants(ci) == [
+            (_code(kernel, _tetris_entries(p.entries, j, sg)), j)
+            for j in range(k) for sg in signs]
+
+
+@pytest.mark.parametrize("mode,k,N", UNIVERSES)
+def test_element_key_is_the_canonical_json(mode, k, N):
+    for p in enumerate_universe(k, N, mode):
+        assert element_key(p) == canonical_json(p.to_dict())
+
+
+def test_certificate_colours_only_until_the_first_on_colour_cell():
+    # the witness comes at the first prefix, so nearly all the colouring is
+    # the certificate's; colouring each element's whole box would colour
+    # all 3^9 - 1 = 19,682 cells of the universe.  The digest was recorded
+    # from a kernel that did so.
+    colouring = Colouring.seeded(7, 2)
+    seeded, calls = colouring.fn, []
+
+    def counted(*elem):
+        calls.append(elem)
+        return seeded(*elem)
+
+    colouring.fn = counted
+    res = search_approx(SearchProblem("signed", 1, 2, 9, 3, radius=1),
+                        colouring)
+    digest = hashlib.sha256(canonical_json(res.to_dict()).encode()).hexdigest()
+    assert digest[:16] == "0225d8a65c88b0a3"
+    assert len(calls) <= 100
 
 
 def _sign_at_min_support(p):

@@ -568,6 +568,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="exceeds the cap"):
             search_exact(SearchProblem(mode="signed", k=2, r=2, N=20, m=2),
                          Colouring.family("support-size-mod", 2))
+        # the search builds its universe without enumerate_universe; it must
+        # refuse before building anything, or this would not return
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            search_approx(SearchProblem(mode="signed", k=1, r=2, N=10**9, m=2,
+                                        radius=1),
+                          Colouring.family("support-size-mod", 2))
 
     def test_universe_cap_admits_the_largest_tested_instance(self):
         # signed k=2, N=6 (the sign-at-min-support search) has 5^6 cells

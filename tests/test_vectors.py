@@ -3,6 +3,9 @@
 import itertools
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -361,3 +364,14 @@ class TestEmbedding:
         seq = BlockSequence((s(2, {0: 2}),))
         with pytest.raises(ValueError):
             net_defect(seq, 0.5, 10, seed=0)  # (1.5)^-1 > 0.5
+
+    def test_importing_the_library_does_not_load_numpy(self):
+        # numpy is imported by net_defect alone, when it is first called
+        import blockramsey
+        src = Path(blockramsey.__file__).parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, blockramsey, blockramsey.cli; "
+                                   "print('numpy' in sys.modules)"],
+            capture_output=True, text=True, cwd=src,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "False\n")
