@@ -58,19 +58,39 @@ def _words_from_arg(value, alphabet) -> W.VarWordSequence:
     return W.VarWordSequence.from_list(_load_json(value), alphabet)
 
 
+def _table_from_file(path: str) -> tuple[dict, int | None]:
+    """The mapping and default of a colour table file: a JSON object whose
+    "mapping" maps element keys to integer colours, with an optional
+    integer "default"."""
+    data = _load_json("@" + path)
+    if not isinstance(data, dict):
+        raise ValueError("a colour table must be a JSON object")
+    mapping = V.json_field(data, "mapping", "a colour table")
+    if not (isinstance(mapping, dict) and all(map(V._is_int, mapping.values()))):
+        raise ValueError("a colour table's mapping must be a JSON object of "
+                         "integer colours")
+    default = data.get("default")
+    if default is not None and not V._is_int(default):
+        raise ValueError(f"a colour table's default must be an integer, not "
+                         f"{json.dumps(default)}")
+    return mapping, default
+
+
 def _colouring_from_args(args, arity: str) -> Colouring:
     r = args.colours
     if getattr(args, "table", None):
-        data = _load_json("@" + args.table)
-        return Colouring.table(data["mapping"], r, arity,
-                               default=data.get("default"))
+        mapping, default = _table_from_file(args.table)
+        return Colouring.table(mapping, r, arity, default=default)
     if getattr(args, "family", None):
         return Colouring.family(args.family, r, arity)
     return Colouring.seeded(args.seed, r, arity)
 
 
 def _cmd_span(args) -> int:
-    if args.kind in ("vectors",):
+    needs = "blocks" if args.kind == "vectors" else "words"
+    if getattr(args, needs) is None:
+        raise ValueError(f"span --kind {args.kind} needs --{needs}")
+    if args.kind == "vectors":
         seq = _blocks_from_arg(_load_json(args.blocks), args.k, args.mode)
         out = [v.to_dict() for v in V.span(seq)]
     else:
@@ -351,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_span)
 
     p = sub.add_parser("dist", help="distance between two objects")
-    add_common(p)
     p.add_argument("--kind", choices=("vector", "word", "vector-seq", "word-seq"),
                    default="vector")
     p.add_argument("--a", required=True)

@@ -31,6 +31,7 @@ from .words import (
     Var,
     VarWordSequence,
     Word,
+    _var_entries,
     concat,
     eval_segment,
     substitute,
@@ -95,10 +96,12 @@ class ParamMatrix:
 
 
 def concat_all(X: VarWordSequence) -> Word:
-    out = X.words[0]
-    for w in X.words[1:]:
-        out = concat(out, w)
-    return out
+    return functools.reduce(concat, X.words)
+
+
+def _check_pairs(Y: VarWordSequence):
+    if len(Y) % 2 != 0 or len(Y) < 2:
+        raise ValueError("the sequence must have even length >= 2")
 
 
 def phi_encode(X: VarWordSequence) -> BlockSequence:
@@ -106,13 +109,10 @@ def phi_encode(X: VarWordSequence) -> BlockSequence:
     blocks = []
     offset = 0
     for w in X.words:
-        entries = []
-        for l, sym in enumerate(w.symbols):
-            if isinstance(sym, Var):
-                entries.append((offset + l, sym.index))
+        entries = _var_entries(w, offset)
         if not entries:
             raise ValueError("a variable-free word has no block image")
-        blocks.append(BlockVector(X.k, X.mode, tuple(entries)))
+        blocks.append(BlockVector(X.k, X.mode, entries))
         offset += len(w)
     return BlockSequence(tuple(blocks))
 
@@ -146,19 +146,11 @@ def psi_encode(X: VarWordSequence, cols: Optional[int] = None) -> ParamMatrix:
 
 def derive_B(Y: VarWordSequence) -> BlockSequence:
     """Block per odd-indexed word, offset by the lengths of all earlier words."""
-    if len(Y) % 2 != 0 or len(Y) < 2:
-        raise ValueError("the sequence must have even length >= 2")
+    _check_pairs(Y)
     lens = [len(w) for w in Y.words]
-    blocks = []
-    for m in range(len(Y) // 2):
-        offset = sum(lens[: 2 * m + 1])
-        odd = Y.words[2 * m + 1]
-        entries = []
-        for l, sym in enumerate(odd.symbols):
-            if isinstance(sym, Var):
-                entries.append((offset + l, sym.index))
-        blocks.append(BlockVector(Y.k, Y.mode, tuple(entries)))
-    return BlockSequence(tuple(blocks))
+    return BlockSequence(tuple(
+        BlockVector(Y.k, Y.mode, _var_entries(Y.words[m], sum(lens[:m])))
+        for m in range(1, len(Y), 2)))
 
 
 @dataclass(frozen=True)
@@ -214,8 +206,7 @@ def perfect_set(Y: VarWordSequence, i: int) -> PerfectSetDescription:
     past the column threshold (the end of word 2i-1), where the interval's
     variables share one free bit.
     """
-    if len(Y) % 2 != 0 or len(Y) < 2:
-        raise ValueError("the sequence must have even length >= 2")
+    _check_pairs(Y)
     lens = [len(w) for w in Y.words]
     total = sum(lens)
     threshold = sum(lens[: min(2 * i, len(lens))])
@@ -223,20 +214,18 @@ def perfect_set(Y: VarWordSequence, i: int) -> PerfectSetDescription:
     for m in range(1, (len(Y) + 1) // 2):
         start = sum(lens[: 2 * m])
         intervals.append((start, start + lens[2 * m]))
-    word = concat_all(Y)
+    symbols = [sym for w in Y.words for sym in w.symbols]
     forced = []
     classes = []
     free = set()
     for start, end in intervals:
         if start < threshold:
             continue
-        group = [
-            n for n in range(start, end) if isinstance(word.symbols[n], Var)
-        ]
+        group = [n for n in range(start, end) if isinstance(symbols[n], Var)]
         if group:
             classes.append(tuple(group))
             free.update(group)
-    for n, sym in enumerate(word.symbols):
+    for n, sym in enumerate(symbols):
         if isinstance(sym, Letter):
             forced.append((n, bit_at(bit_letter(sym.token), i)))
         elif n not in free:
@@ -258,16 +247,10 @@ def product_to_sigmas(Y: VarWordSequence, deltas: Sequence[Sequence[int]]) -> li
     for desc, delta in zip(descs, deltas):
         if not desc.satisfies(delta):
             raise ValueError(f"string for column {desc.index} violates its constraints")
-    word = concat_all(Y)
     lens = [len(w) for w in Y.words]
     sigmas = [()]
     for m in range(1, len(Y) // 2):
-        start = sum(lens[: 2 * m])
-        n_m = next(
-            n
-            for n in range(start, start + lens[2 * m])
-            if isinstance(word.symbols[n], Var)
-        )
+        n_m = _var_entries(Y.words[2 * m], sum(lens[: 2 * m]))[0][0]
         tok = bit_letter(tuple(delta[n_m] for delta in deltas))
         if letter_level(tok) > 2 * m:
             raise ValueError("letter level exceeds its slot")
@@ -277,8 +260,7 @@ def product_to_sigmas(Y: VarWordSequence, deltas: Sequence[Sequence[int]]) -> li
 
 def substituted_pairs(Y: VarWordSequence, sigmas: Sequence) -> VarWordSequence:
     """The sequence (y_{2m}[sigma_{2m}] ++ y_{2m+1})."""
-    if len(Y) % 2 != 0 or len(Y) < 2:
-        raise ValueError("the sequence must have even length >= 2")
+    _check_pairs(Y)
     if len(sigmas) != len(Y) // 2:
         raise ValueError("one letter per even-indexed word")
     k = Y.k

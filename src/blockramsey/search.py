@@ -95,19 +95,12 @@ def element_key(elem) -> str:
     raise ValueError(f"cannot serialize {elem!r}")
 
 
-def _word_profile(x: Word):
-    # positions and indices of the variables, the word-level analogue
-    return tuple(
-        (n, s.index) for n, s in enumerate(x.symbols) if isinstance(s, Var)
-    )
-
-
 def _family_fn(name: str, r: int, arity: str) -> Callable:
     def profile(*elem):
         if arity == "vector":
             return elem[0].entries
         if arity == "word":
-            return _word_profile(elem[0])
+            return W._var_entries(elem[0])
         return elem[0].blocks[0].entries
 
     if name == "value-at-min-support":
@@ -183,6 +176,9 @@ class Colouring:
 
     def __call__(self, *elem) -> int:
         c = self.fn(*elem)
+        # type(), not isinstance: a bool is an int but not a colour
+        if type(c) is not int:
+            raise ValueError(f"colour {c!r} is not an integer")
         if not 0 <= c < self.r:
             raise ValueError(f"colour {c} out of range [0, {self.r})")
         return c
@@ -196,6 +192,12 @@ class Colouring:
         if kind == "custom":
             return f"custom:{self.spec['name']}"
         return kind
+
+
+def _check_colours(colouring: Colouring, r: int, what: str):
+    if colouring.r != r:
+        raise ValueError(f"the colouring has {colouring.r} colours but {what} "
+                         f"r={r}")
 
 
 @dataclass(frozen=True)
@@ -350,13 +352,20 @@ def iter_word_ball(x: Word, radius: int):
                 opts.append(Var(i))
         # sorted options make the product come out in Word.sort_key order
         choices.append(sorted(opts, key=W.symbol_key))
+    yield from _full_class_words(k, x.mode, x.alphabet, choices)
+
+
+def _full_class_words(k: int, mode: str, alphabet: Alphabet, choices):
+    """Yield the full-class words whose n-th symbol comes from choices[n], in
+    the order of the choice product (canonical when every list is sorted by
+    symbol_key)."""
     # a combo has full class iff some position holds v_k or v_-k
     full = [[isinstance(s, Var) and abs(s.index) == k for s in opts]
             for opts in choices]
     for combo, flags in zip(itertools.product(*choices),
                             itertools.product(*full)):
         if any(flags):
-            yield Word(k, x.mode, x.alphabet, combo)
+            yield Word(k, mode, alphabet, combo)
 
 
 def word_ball(x: Word, radius: int) -> list[Word]:
@@ -554,6 +563,7 @@ def _dfs(m: int, candidates: Callable, pieces: Callable, feasible: Callable,
 def _vector_search(problem: SearchProblem, colouring: Colouring):
     if colouring.arity != "vector":
         raise ValueError("vector searches need a vector colouring")
+    _check_colours(colouring, problem.r, "the search asks for")
     kernel = _VectorKernel(problem, colouring)
     found = _dfs(problem.m, kernel.candidates,
                  lambda slot, ci: kernel.variants(ci),
@@ -608,12 +618,7 @@ def word_candidates(alphabet: Alphabet, k: int, mode: str, length: int,
         [i for i in range(-k, k + 1) if i != 0]
     symbols = [Letter(t) for t in letters] + [Var(i) for i in indices]
     symbols.sort(key=W.symbol_key)
-    out = []
-    for combo in itertools.product(symbols, repeat=length):
-        w = Word(k, mode, alphabet, combo)
-        if classify(w) == k:
-            out.append(w)
-    return out
+    return list(_full_class_words(k, mode, alphabet, [symbols] * length))
 
 
 def _single_seq(wrd: Word, slot: int) -> VarWordSequence:
@@ -635,17 +640,15 @@ def search_ghj(alphabet: Alphabet, k: int, mode: str, r: int,
     lengths = tuple(lengths)
     if not lengths:
         raise ValueError("need at least one generator length")
-    total = 0
-    for ln in lengths:
-        if ln <= total:
-            raise ValueError("generator lengths must increase rapidly")
-        total += ln
+    if not W._rapid(lengths):
+        raise ValueError("generator lengths must increase rapidly")
     if radius is None:
         radius = 0 if mode == UNSIGNED else 1
     if radius == 1 and mode != SIGNED:
         raise ValueError("approximate word search requires signed mode")
     if colouring.arity != "word":
         raise ValueError("word searches need a word colouring")
+    _check_colours(colouring, r, "the search asks for")
     if letters is not None:
         letters = list(letters)
     candidates = [word_candidates(alphabet, k, mode, ln, letters)
@@ -660,21 +663,18 @@ def search_ghj(alphabet: Alphabet, k: int, mode: str, r: int,
         return piece_cache[slot, wrd]
 
     def feasible(syms, want: int) -> int:
-        # [colours seen so far, the ball walker that resumes from there]; the
-        # walk stops at the first point where every colour of want is seen
-        entry = feas_cache.get(syms)
-        if entry is None:
-            entry = feas_cache[syms] = [
-                0, iter_word_ball(Word(k, mode, alphabet, syms), radius)]
-        bits, walker = entry
-        if bits & want != want and walker is not None:
-            for y in walker:
+        # (colours seen, whether the whole ball was seen); a walk stops at the
+        # first point where every colour of want is seen, and a later call
+        # that wants more colours walks the ball again from its start
+        bits, done = feas_cache.get(syms, (0, False))
+        if bits & want != want and not done:
+            for y in iter_word_ball(Word(k, mode, alphabet, syms), radius):
                 bits |= 1 << colouring(y)
                 if bits & want == want:
                     break
             else:
-                walker = None
-            entry[:] = bits, walker
+                done = True
+            feas_cache[syms] = bits, done
         return bits & want
 
     found = _dfs(len(lengths), lambda prefix: candidates[len(prefix)], pieces,
@@ -805,9 +805,7 @@ def verify_witness(witness: Witness, colouring: Colouring) -> VerifyReport:
         raise ValueError(f"witness radius {witness.radius} is not 0 or 1")
     if witness.radius == 1 and witness.mode != SIGNED:
         raise ValueError("a radius-1 witness requires signed mode")
-    if colouring.r != witness.r:
-        raise ValueError(f"the colouring has {colouring.r} colours but the "
-                         f"witness was found with r={witness.r}")
+    _check_colours(colouring, witness.r, "the witness was found with")
     if witness.kind == "vector":
         reach = witness.blocks.blocks[-1].max_support
         if witness.N is None or reach >= witness.N:

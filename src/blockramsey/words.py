@@ -208,10 +208,23 @@ def classify(x: Word) -> int:
     return best
 
 
+def _var_entries(x: Word, offset: int = 0) -> tuple[tuple[int, int], ...]:
+    """(offset + position, index) of each variable of x, in position order."""
+    return tuple((n, s.index) for n, s in enumerate(x.symbols, offset)
+                 if isinstance(s, Var))
+
+
 def concat(x: Word, y: Word) -> Word:
     if (x.k, x.mode, x.alphabet) != (y.k, y.mode, y.alphabet):
         raise ValueError("words must share alphabet, k and mode")
     return Word(x.k, x.mode, x.alphabet, x.symbols + y.symbols)
+
+
+def _map_vars(x: Word, f, k: Optional[int] = None) -> Word:
+    """x with each variable v_i rewritten to the symbol f(i), under variable
+    bound k (x's own when None); letters are unchanged."""
+    return Word(x.k if k is None else k, x.mode, x.alphabet,
+                tuple(f(s.index) if isinstance(s, Var) else s for s in x.symbols))
 
 
 def substitute(x: Word, lam: Optional[tuple]) -> Word:
@@ -221,13 +234,7 @@ def substitute(x: Word, lam: Optional[tuple]) -> Word:
     arity = x.k if x.mode == UNSIGNED else 2 * x.k
     if len(lam) != arity:
         raise ValueError(f"substitution tuple must have arity {arity}")
-    out = []
-    for s in x.symbols:
-        if isinstance(s, Var):
-            out.append(Letter(lam[_lam_slot(s.index, x.k, x.mode)]))
-        else:
-            out.append(s)
-    return Word(x.k, x.mode, x.alphabet, tuple(out))
+    return _map_vars(x, lambda i: Letter(lam[_lam_slot(i, x.k, x.mode)]))
 
 
 def _lam_slot(index: int, k: int, mode: str) -> int:
@@ -240,25 +247,17 @@ def _lam_slot(index: int, k: int, mode: str) -> int:
 
 def tetris_word(x: Word) -> Word:
     """Lower each variable index by one toward zero; v_{+-1} becomes the zero letter."""
-    zero = Letter(x.alphabet.zero)
-    out = []
-    for s in x.symbols:
-        if isinstance(s, Var):
-            if s.index > 1:
-                out.append(Var(s.index - 1))
-            elif s.index < -1:
-                out.append(Var(s.index + 1))
-            else:
-                out.append(zero)
-        else:
-            out.append(s)
-    return Word(x.k, x.mode, x.alphabet, tuple(out))
+    return tetris_power(x, 1)
 
 
 def tetris_power(x: Word, j: int) -> Word:
-    for _ in range(j):
-        x = tetris_word(x)
-    return x
+    """T^j(x): each variable index drops by j toward zero, and v_i with
+    |i| <= j becomes the zero letter."""
+    if j <= 0:
+        return x
+    zero = Letter(x.alphabet.zero)
+    return _map_vars(x, lambda i: Var(i - j) if i > j else
+                     Var(i + j) if i < -j else zero)
 
 
 def reflect_word(x: Word) -> Word:
@@ -270,19 +269,25 @@ def reflect_word(x: Word) -> Word:
 
 
 def neg_tetris(x: Word, j: int = 1) -> Word:
-    """The composite map x -> -T(x), iterated j times."""
-    for _ in range(j):
-        x = reflect_word(tetris_word(x))
-    return x
+    """The composite map x -> -T(x), iterated j times: (-T)^j = (-1)^j T^j."""
+    if j and x.mode != SIGNED:
+        raise ValueError("neg_tetris requires signed mode")
+    y = tetris_power(x, j)
+    return reflect_word(y) if j % 2 else y
+
+
+def _rapid(lengths: Iterable[int]) -> bool:
+    """Each length exceeds the sum of all lengths before it."""
+    total = 0
+    for n in lengths:
+        if n <= total:
+            return False
+        total += n
+    return True
 
 
 def is_rapidly_increasing(words: Iterable[Word]) -> bool:
-    total = 0
-    for w in words:
-        if len(w) <= total:
-            return False
-        total += len(w)
-    return True
+    return _rapid(len(w) for w in words)
 
 
 @dataclass(frozen=True)
@@ -617,14 +622,8 @@ def halve(x: Word) -> Word:
     if x.k % 2 != 0:
         raise ValueError("halve needs an even variable bound")
     zero = Letter(x.alphabet.zero)
-    out = []
-    for s in x.symbols:
-        if isinstance(s, Var):
-            h = _halve_index(s.index)
-            out.append(zero if h == 0 else Var(h))
-        else:
-            out.append(s)
-    return Word(x.k // 2, x.mode, x.alphabet, tuple(out))
+    return _map_vars(x, lambda i: Var(_halve_index(i)) if abs(i) > 1 else zero,
+                     x.k // 2)
 
 
 def _halve_index(i: int) -> int:

@@ -263,6 +263,40 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("kind,needs", [("vectors", "--blocks"),
+                                            ("words", "--words")])
+    def test_span_without_its_sequence_is_1(self, capfd, kind, needs):
+        code, out, err = run_inproc(capfd, "span", "--kind", kind)
+        assert code == 1 and out == ""
+        assert err == f"error: span --kind {kind} needs {needs}\n"
+
+    @pytest.mark.parametrize("table,message", [
+        ([1], "a colour table must be a JSON object"),
+        ({"mapping": 5}, "a colour table's mapping must be a JSON object of "
+                         "integer colours"),
+        ({}, "a colour table lacks the field 'mapping'"),
+        ({"mapping": {}, "default": "1"},
+         'a colour table\'s default must be an integer, not "1"'),
+        # a boolean default once coloured every element 1 and exited 0
+        ({"mapping": {}, "default": True},
+         "a colour table's default must be an integer, not true"),
+    ])
+    def test_malformed_table_is_1(self, capfd, tmp_path, table, message):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(table))
+        code, out, err = run_inproc(capfd, "search", "--N", "3", "--m", "1",
+                                    "--table", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("option", [("--mode", "signed"), ("--k", "2")])
+    def test_dist_takes_no_mode_or_k(self, capfd, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["dist", *option, "--a", '{"k":1,"mode":"unsigned","entries":[[0,1]]}',
+                  "--b", '{"k":1,"mode":"unsigned","entries":[[0,1]]}'])
+        assert exc.value.code == 2
+        assert "error:" in capfd.readouterr().err
+
     def test_exhausted_is_3(self, capfd):
         code, out, _ = run_inproc(
             capfd, "search", "--mode", "unsigned", "--k", "1", "--N", "2",
@@ -294,6 +328,16 @@ class TestCommands:
         )
         assert code == 0
         assert len(out.strip().splitlines()) == 7
+
+    def test_table_file_colours_the_search(self, capfd, tmp_path):
+        # the table format the README documents
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"mapping": {
+            '{"entries":[[0,1]],"k":1,"mode":"unsigned"}': 1}, "default": 0}))
+        code, out, _ = run_inproc(capfd, "search", "--N", "2", "--m", "1",
+                                  "--table", str(path))
+        assert code == 0
+        assert json.loads(out)["colour"] == 1
 
     def test_dist_vector(self, capfd):
         code, out, _ = run_inproc(

@@ -338,6 +338,12 @@ class TestColourings:
         with pytest.raises(KeyError):
             strict(q)
 
+    @pytest.mark.parametrize("colour", ["1", True, 1.0])
+    def test_colour_that_is_not_an_integer_is_rejected(self, colour):
+        c = Colouring.custom(lambda p: colour, 2)
+        with pytest.raises(ValueError, match="not an integer"):
+            c(BlockVector.make(1, "unsigned", {0: 1}))
+
     def test_word_families(self):
         w = mkword(2, "signed", AB, ["a", -2, 1])
         for family in FAMILIES:
@@ -415,8 +421,8 @@ class TestBalls:
                 [e["element"] for e in res.certificate]
 
     def test_word_feasibility_resumes_its_walk(self, monkeypatch):
-        # a later call that wants more colours continues the cached walk,
-        # so every answer equals the whole ball's colours masked by want
+        # a later call that wants more colours walks the ball again, so
+        # every answer equals the whole ball's colours masked by want
         captured = []
         dfs = S._dfs
 
@@ -584,6 +590,18 @@ class TestValidation:
         res = search_exact(SearchProblem(mode="unsigned", k=1, r=2, N=4, m=2), c)
         with pytest.raises(ValueError, match="r=2"):
             verify_witness(res, Colouring.family("support-size-mod", 7))
+
+    @pytest.mark.parametrize("arity,search", [
+        ("vector", lambda c: search_exact(SearchProblem("signed", 1, 2, 5, 2), c)),
+        ("vector", lambda c: search_approx(
+            SearchProblem("signed", 1, 2, 5, 2, radius=1), c)),
+        ("word", lambda c: search_ghj(AB, 1, "signed", 2, c, (1, 2))),
+    ], ids=["exact", "approx", "ghj"])
+    def test_search_rejects_colour_count_mismatch(self, arity, search):
+        # a 3-colour colouring once gave a verdict for r=2 (exact:
+        # Exhausted(274, 238), against Exhausted(294, 228) at r=3)
+        with pytest.raises(ValueError, match="3 colours but the search asks for r=2"):
+            search(Colouring.seeded(0, 3, arity=arity))
 
     def test_verify_rejects_blocks_outside_n(self):
         import dataclasses

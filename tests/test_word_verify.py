@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from blockramsey import Alphabet, Colouring, Witness, search_ghj, verify_witness
+from blockramsey import search as S
 from blockramsey import words as W
 from blockramsey.search import oracle_span_words, word_ball, word_candidates
 from blockramsey.words import Letter, Var, VarWordSequence, Word, classify
@@ -62,11 +63,27 @@ def test_oracle_calls_none_of_the_code_it_checks(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle called the span code it checks")
 
-    for module, name in ((W, "span_words"), (W, "compose"), (W, "_slot_pieces"),
-                         (W, "span_combinations"), (W, "eval_segment")):
-        monkeypatch.setattr(module, name, forbidden)
     Y = _sequence(random.Random(5), GRADED, 2, "signed", (1, 2))
+    for module, name in ((W, "span_words"), (W, "compose"), (W, "_slot_pieces"),
+                         (W, "span_combinations"), (W, "eval_segment"),
+                         (S, "_full_class_words"), (S, "word_candidates")):
+        monkeypatch.setattr(module, name, forbidden)
     assert oracle_span_words(Y) == brute_force_span(Y)
+
+
+@pytest.mark.parametrize("mode", ["unsigned", "signed"])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("letters", [None, ["a"]])
+def test_word_candidates_match_product_then_classify(mode, k, letters):
+    tokens = sorted(GRADED.top) if letters is None else letters
+    indices = range(1, k + 1) if mode == "unsigned" else \
+        [i for i in range(-k, k + 1) if i != 0]
+    symbols = [Letter(t) for t in tokens] + [Var(i) for i in indices]
+    for length in range(1, 5):
+        words = (Word(k, mode, GRADED, combo)
+                 for combo in itertools.product(symbols, repeat=length))
+        want = sorted((w for w in words if classify(w) == k), key=Word.sort_key)
+        assert word_candidates(GRADED, k, mode, length, letters) == want
 
 
 def test_oracle_grades_by_global_index():

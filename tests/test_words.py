@@ -35,7 +35,7 @@ from blockramsey import (
     tetris_word,
 )
 from blockramsey.sampling import random_sequence
-from blockramsey.words import tetris_power, word
+from blockramsey.words import neg_tetris, tetris_power, word
 
 AB = Alphabet.make([["0", "a", "b", "c"]], "0")
 AB01 = Alphabet.make([["0", "a"]], "0")
@@ -125,6 +125,70 @@ class TestBasicOps:
         assert not is_rapidly_increasing([uw(1, [1]), uw(1, [1, 1]),
                                           uw(1, [1, 1, 1])])
         assert is_rapidly_increasing([uw(1, [1])])
+
+
+# six distinct substitution letters, so every slot of a signed k=3 tuple differs
+AB6 = Alphabet.make([["0", "a", "b", "c", "d", "e", "f"]], "0")
+
+
+def _per_symbol(x, f, k=None):
+    """x with f applied to each symbol on its own (the reference below)."""
+    return Word(x.k if k is None else k, x.mode, x.alphabet,
+                tuple(f(sym) for sym in x.symbols))
+
+
+def _tetris_once(sym):
+    if not isinstance(sym, Var):
+        return sym
+    i = sym.index
+    return Var(i - 1) if i > 1 else Var(i + 1) if i < -1 else Letter("0")
+
+
+def _reflect(sym):
+    return Var(-sym.index) if isinstance(sym, Var) else sym
+
+
+class TestRewritesAgainstPerSymbolReference:
+    """tetris_power, neg_tetris, substitute and halve against one-step maps
+    applied symbol by symbol, on every word of length <= 3."""
+
+    @pytest.mark.parametrize("mode", ["unsigned", "signed"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_rewrites(self, mode, k):
+        # (v_1, ..., v_k) unsigned, (v_-k, ..., v_-1, v_1, ..., v_k) signed:
+        # also the order of the slots of a substitution tuple
+        indices = list(range(1, k + 1)) if mode == "unsigned" else \
+            list(range(-k, 0)) + list(range(1, k + 1))
+        lam = tuple("abcdef"[:len(indices)])
+        symbols = [Letter("0"), Letter("a")] + [Var(i) for i in indices]
+        for length in (1, 2, 3):
+            for combo in itertools.product(symbols, repeat=length):
+                x = Word(k, mode, AB6, combo)
+                assert tetris_power(x, 0) is x
+                # T^j(x) and (-T)^j(x), one step at a time
+                y = z = x
+                for j in range(k + 2):
+                    assert tetris_power(x, j) == y
+                    if mode == "signed":
+                        assert neg_tetris(x, j) == z
+                        z = _per_symbol(_per_symbol(z, _tetris_once), _reflect)
+                    y = _per_symbol(y, _tetris_once)
+                assert substitute(x, lam) == _per_symbol(
+                    x, lambda sym: Letter(lam[indices.index(sym.index)])
+                    if isinstance(sym, Var) else sym)
+                if mode == "signed" and k % 2 == 0:
+                    # halving rounds toward zero, and +-1 land on the zero letter
+                    assert halve(x) == _per_symbol(
+                        x, lambda sym: (Var(int(sym.index / 2))
+                                        if abs(sym.index) > 1 else Letter("0"))
+                        if isinstance(sym, Var) else sym, k // 2)
+
+    def test_neg_tetris_requires_signed_mode(self):
+        x = uw(2, [2, 1])
+        assert neg_tetris(x, 0) is x
+        for j in (1, 2):
+            with pytest.raises(ValueError, match="signed mode"):
+                neg_tetris(x, j)
 
 
 class TestCompose:
@@ -234,7 +298,6 @@ class TestSpans:
         X = VarWordSequence((x0,))
         out = set(span_negT(X))
         assert x0 in out
-        from blockramsey.words import neg_tetris
         assert neg_tetris(x0) == word(2, "signed", ab, ["0", -1])
 
     def test_span_negT_inside_span_words(self):
@@ -511,7 +574,6 @@ class TestApproxNegT:
         assert matched == "direct"
         expect = concat(tetris_power(reflect_word(tetris_word(self.Y.words[0])), 1),
                         self.Y.words[1])
-        from blockramsey.words import neg_tetris
         assert z == concat(neg_tetris(self.Y.words[0], 2), self.Y.words[1])
         assert dist_words(x, z) <= 1
         assert z in set(span_negT(self.Y))
