@@ -9,6 +9,7 @@ line for streaming enumerations.  Exit codes: 0 success, 1 domain error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -90,9 +91,14 @@ def _cmd_span(args) -> int:
     needs = "blocks" if args.kind == "vectors" else "words"
     if getattr(args, needs) is None:
         raise ValueError(f"span --kind {args.kind} needs --{needs}")
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"--limit {args.limit} is negative")
     if args.kind == "vectors":
-        seq = _blocks_from_arg(_load_json(args.blocks), args.k, args.mode)
+        k = 1 if args.k is None else args.k
+        seq = _blocks_from_arg(_load_json(args.blocks), k, args.mode or V.UNSIGNED)
         out = [v.to_dict() for v in V.span(seq)]
+    elif args.mode is not None or args.k is not None:
+        raise ValueError(f"span --kind {args.kind} takes its mode and k from --words")
     else:
         alphabet = _alphabet_from_arg(args.alphabet)
         seq = _words_from_arg(args.words, alphabet)
@@ -350,18 +356,23 @@ def _cmd_selftest(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="blockramsey",
+        prog="blockramsey", allow_abbrev=False,
         description="Block-sequence spans, word encodings, and Ramsey witness search.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # neither the parser nor a subcommand takes a prefix for an option
+    command = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def add_common(p):
         p.add_argument("--mode", choices=(V.UNSIGNED, V.SIGNED),
                        default=V.UNSIGNED)
         p.add_argument("--k", type=int, default=1)
 
-    p = sub.add_parser("span", help="enumerate a span, one JSON element per line")
+    p = command("span", help="enumerate a span, one JSON element per line")
     add_common(p)
+    # None marks an option left out: word kinds refuse the two, vectors
+    # default them to unsigned and k=1
+    p.set_defaults(mode=None, k=None)
     p.add_argument("--kind", choices=("vectors", "words", "letters", "neg-t"),
                    default="vectors")
     p.add_argument("--blocks", help="JSON block list (vector spans)")
@@ -370,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int)
     p.set_defaults(func=_cmd_span)
 
-    p = sub.add_parser("dist", help="distance between two objects")
+    p = command("dist", help="distance between two objects")
     p.add_argument("--kind", choices=("vector", "word", "vector-seq", "word-seq"),
                    default="vector")
     p.add_argument("--a", required=True)
@@ -378,38 +389,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphabet")
     p.set_defaults(func=_cmd_dist)
 
-    p = sub.add_parser("tetris", help="apply the tetris operation once")
+    p = command("tetris", help="apply the tetris operation once")
     p.add_argument("--kind", choices=("vector", "word"), default="vector")
     p.add_argument("--input", required=True)
     p.add_argument("--alphabet")
     p.set_defaults(func=_cmd_tetris)
 
-    p = sub.add_parser("encode", help="vector and matrix encodings of a word sequence")
+    p = command("encode", help="vector and matrix encodings of a word sequence")
     p.add_argument("--words", required=True)
     p.add_argument("--alphabet")
     p.add_argument("--cols", type=int)
     p.set_defaults(func=_cmd_encode)
 
-    p = sub.add_parser("decode", help="decode a vector sequence back into words")
+    p = command("decode", help="decode a vector sequence back into words")
     p.add_argument("--words", required=True, help="the base sequence Y")
     p.add_argument("--alphabet")
     p.add_argument("--blocks", required=True, help="vector sequence in the derived span")
     p.add_argument("--sigmas", required=True, help="JSON list of bit lists")
     p.set_defaults(func=_cmd_decode)
 
-    p = sub.add_parser("derive-b", help="derived block sequence of an even-length Y")
+    p = command("derive-b", help="derived block sequence of an even-length Y")
     p.add_argument("--words", required=True)
     p.add_argument("--alphabet")
     p.set_defaults(func=_cmd_derive_b)
 
-    p = sub.add_parser("perfect-sets", help="per-column constraint records")
+    p = command("perfect-sets", help="per-column constraint records")
     p.add_argument("--words", required=True)
     p.add_argument("--alphabet")
     p.add_argument("--cols", type=int)
     p.add_argument("--index", type=int)
     p.set_defaults(func=_cmd_perfect_sets)
 
-    p = sub.add_parser("search", help="find a monochromatic-span witness")
+    p = command("search", help="find a monochromatic-span witness")
     add_common(p)
     p.add_argument("--kind", choices=("vector", "word"), default="vector")
     p.add_argument("--N", type=int, default=4)
@@ -423,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphabet")
     p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("verify", help="re-check a witness independently")
+    p = command("verify", help="re-check a witness independently")
     p.add_argument("--witness", required=True)
     p.add_argument("--colours", type=int, default=2)
     p.add_argument("--family", choices=S.FAMILIES)
@@ -431,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("pipeline", help="derived pair from a lifted colouring")
+    p = command("pipeline", help="derived pair from a lifted colouring")
     add_common(p)
     p.add_argument("--colours", type=int, default=2)
     p.add_argument("--family", choices=S.FAMILIES)
@@ -442,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=32)
     p.set_defaults(func=_cmd_pipeline)
 
-    p = sub.add_parser("selftest", help="run the embedded invariant suite")
+    p = command("selftest", help="run the embedded invariant suite")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_selftest)
 

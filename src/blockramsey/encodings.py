@@ -23,17 +23,18 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .vectors import SIGNED, UNSIGNED, BlockSequence, BlockVector, _tetris_entries
+from .vectors import UNSIGNED, BlockSequence, BlockVector, _block_image
 from .words import (
     Alphabet,
+    Decomposition,
     Letter,
     Segment,
     Var,
     VarWordSequence,
     Word,
     _var_entries,
+    compose,
     concat,
-    eval_segment,
     substitute,
 )
 
@@ -80,6 +81,8 @@ class ParamMatrix:
     bits: frozenset
 
     def __post_init__(self):
+        if self.rows < 0 or self.cols < 0:
+            raise ValueError("a matrix needs nonnegative rows and cols")
         for n, i in self.bits:
             if not (0 <= n < self.rows and 0 <= i < self.cols):
                 raise ValueError("bit out of bounds")
@@ -206,6 +209,8 @@ def perfect_set(Y: VarWordSequence, i: int) -> PerfectSetDescription:
     past the column threshold (the end of word 2i-1), where the interval's
     variables share one free bit.
     """
+    if i < 0:
+        raise ValueError(f"column index {i} is negative")
     _check_pairs(Y)
     lens = [len(w) for w in Y.words]
     total = sum(lens)
@@ -277,12 +282,7 @@ def substituted_pairs(Y: VarWordSequence, sigmas: Sequence) -> VarWordSequence:
 
 def _parse_over_blocks(A: BlockSequence, B: BlockSequence):
     """Per element of A: the covering block interval with exponents and signs."""
-    k = B.k
-    owner = {}
-    for bi, b in enumerate(B.blocks):
-        for n, _ in b.entries:
-            owner[n] = bi
-    signs = (1, -1) if B.mode == SIGNED else (1,)
+    owner = {n: bi for bi, b in enumerate(B.blocks) for n, _ in b.entries}
     parsed = []
     prev_hi = -1
     for a in A.blocks:
@@ -293,23 +293,15 @@ def _parse_over_blocks(A: BlockSequence, B: BlockSequence):
             by_block.setdefault(owner[n], []).append((n, v))
         used = {}
         for bi, restriction in by_block.items():
-            restriction = tuple(sorted(restriction))
-            maxv = max(abs(v) for _, v in restriction)
-            j = k - maxv
-            match = None
-            for s in signs:
-                if _tetris_entries(B.blocks[bi].entries, j, s) == restriction:
-                    match = (s, j)
-                    break
-            if match is None:
+            used[bi] = _block_image(B.blocks[bi], tuple(restriction))
+            if used[bi] is None:
                 raise ValueError("element does not restrict to a tetris image")
-            used[bi] = match
         lo, hi = min(used), max(used)
         if lo <= prev_hi:
             raise ValueError("elements overlap on the base sequence")
         prev_hi = hi
         for bi in range(lo, hi + 1):
-            used.setdefault(bi, (1, k))
+            used.setdefault(bi, (1, B.k))
         parsed.append((lo, hi, used))
     return parsed
 
@@ -328,28 +320,19 @@ def decode_witness(
     X = substituted_pairs(Y, sigmas)
     B = derive_B(Y)
     parsed = _parse_over_blocks(A, B)
-    k = Y.k
-    arity = k if Y.mode == UNSIGNED else 2 * k
+    arity = Y.k if Y.mode == UNSIGNED else 2 * Y.k
     zero_tuple = (Y.alphabet.zero,) * arity
     pairs = len(Y) // 2
-    if parsed[-1][1] >= pairs:
-        raise ValueError("element reaches past the base sequence")
     out = []
     prev_hi = -1
     for which, (lo, hi, used) in enumerate(parsed):
         last = which == len(parsed) - 1
         group_end = pairs - 1 if last else hi
-        segs = []
-        for p in range(prev_hi + 1, group_end + 1):
-            if p in used:
-                s, j = used[p]
-                segs.append(Segment(p, s, j, None))
-            else:
-                segs.append(Segment(p, 1, 0, zero_tuple))
+        segs = [Segment(p, *used[p], None) if p in used else
+                Segment(p, 1, 0, zero_tuple)
+                for p in range(prev_hi + 1, group_end + 1)]
         prev_hi = hi
-        out.append(functools.reduce(concat, (
-            eval_segment(X.words[seg.gen_index], seg.sign, seg.exponent, seg.lam)
-            for seg in segs)))
+        out.append(compose(X, Decomposition(tuple(segs))))
     return VarWordSequence(tuple(out))
 
 

@@ -48,8 +48,8 @@ from .vectors import (
     UNSIGNED,
     BlockSequence,
     BlockVector,
+    _block_image,
     _is_int,
-    _tetris_entries,
     json_field,
     linf_dist,
 )
@@ -621,10 +621,6 @@ def word_candidates(alphabet: Alphabet, k: int, mode: str, length: int,
     return list(_full_class_words(k, mode, alphabet, [symbols] * length))
 
 
-def _single_seq(wrd: Word, slot: int) -> VarWordSequence:
-    return VarWordSequence((wrd,), (slot,))
-
-
 def search_ghj(alphabet: Alphabet, k: int, mode: str, r: int,
                colouring: Colouring, lengths: Iterable[int],
                radius: Optional[int] = None,
@@ -637,6 +633,8 @@ def search_ghj(alphabet: Alphabet, k: int, mode: str, r: int,
     restricts the letters available for generator content (substitution
     letters still follow the per-slot level grading).
     """
+    if k < 1:
+        raise ValueError("k must be at least 1")
     lengths = tuple(lengths)
     if not lengths:
         raise ValueError("need at least one generator length")
@@ -659,7 +657,7 @@ def search_ghj(alphabet: Alphabet, k: int, mode: str, r: int,
     def pieces(slot: int, wrd: Word):
         # rapid increase keeps the concatenations of distinct pieces distinct
         if (slot, wrd) not in piece_cache:
-            piece_cache[slot, wrd] = W._slot_pieces(_single_seq(wrd, slot), 0)
+            piece_cache[slot, wrd] = W._slot_pieces(wrd, slot)
         return piece_cache[slot, wrd]
 
     def feasible(syms, want: int) -> int:
@@ -703,41 +701,35 @@ def search_ghj(alphabet: Alphabet, k: int, mode: str, r: int,
     )
 
 
+def _slice_products(slices):
+    """The concatenation of one piece from each slice of every nonempty set
+    of slices, in slice order.  Only the two generate-then-filter oracles
+    use this loop, so they share none with the spans they check."""
+    for size in range(1, len(slices) + 1):
+        for subset in itertools.combinations(slices, size):
+            for pieces in itertools.product(*subset):
+                yield sum(pieces, ())
+
+
 def oracle_span_vectors(blocks: BlockSequence) -> list[BlockVector]:
-    """Generate-then-filter span: enumerate all vectors over the union of the
-    supports and keep those expressible over the blocks.  Independent of the
-    combination enumeration used by span()."""
+    """Generate-then-filter span, factorised per block.
+
+    A span element restricts to each block it touches as a signed tetris
+    image of that block.  Every value string over each block's support is
+    tried once and kept when `_block_image` accepts it; the kept pieces are
+    multiplied out per set of blocks, and a product is kept when it attains
+    magnitude k, that is when some piece has exponent 0.  Independent of
+    the combination enumeration used by span() and of the search kernel.
+    """
     k, mode = blocks.k, blocks.mode
-    positions = sorted({n for b in blocks for n, _ in b.entries})
-    owner = {}
-    for bi, b in enumerate(blocks.blocks):
-        for n, _ in b.entries:
-            owner[n] = bi
     values = range(0, k + 1) if mode == UNSIGNED else range(-k, k + 1)
-    signs = (1,) if mode == UNSIGNED else (1, -1)
-    out = []
-    for combo in itertools.product(values, repeat=len(positions)):
-        entries = tuple(
-            (n, v) for n, v in zip(positions, combo) if v != 0)
-        if not entries or max(abs(v) for _, v in entries) != k:
-            continue
-        by_block = {}
-        for n, v in entries:
-            by_block.setdefault(owner[n], []).append((n, v))
-        exps = []
-        ok = True
-        for bi, restriction in by_block.items():
-            restriction = tuple(sorted(restriction))
-            j = k - max(abs(v) for _, v in restriction)
-            if j >= k or not any(
-                _tetris_entries(blocks.blocks[bi].entries, j, s) == restriction
-                for s in signs
-            ):
-                ok = False
-                break
-            exps.append(j)
-        if ok and exps and min(exps) == 0:
-            out.append(BlockVector(k, mode, entries))
+    slices = []
+    for b in blocks:
+        pieces = (tuple((n, v) for (n, _), v in zip(b.entries, combo) if v)
+                  for combo in itertools.product(values, repeat=len(b.entries)))
+        slices.append([p for p in pieces if p and _block_image(b, p)])
+    out = [BlockVector(k, mode, e) for e in _slice_products(slices)
+           if max(abs(v) for _, v in e) == k]
     out.sort(key=BlockVector.sort_key)
     return out
 
@@ -764,12 +756,10 @@ def oracle_span_words(Y: VarWordSequence) -> list[Word]:
         for pos, gen in enumerate(Y.words)
     ]
     out = []
-    for size in range(1, len(Y) + 1):
-        for subset in itertools.combinations(slices, size):
-            for pieces in itertools.product(*subset):
-                w = Word(Y.k, Y.mode, Y.alphabet, sum(pieces, ()))
-                if classify(w) == Y.k:
-                    out.append(w)
+    for syms in _slice_products(slices):
+        w = Word(Y.k, Y.mode, Y.alphabet, syms)
+        if classify(w) == Y.k:
+            out.append(w)
     out.sort(key=Word.sort_key)
     return out
 
@@ -852,6 +842,8 @@ class PipelineBounds:
     def __post_init__(self):
         if len(self.lengths) % 2 != 0 or not self.lengths:
             raise ValueError("the word search needs an even number of lengths")
+        if self.letter_level < 0 or self.sample_count < 0:
+            raise ValueError("letter_level and sample_count must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -884,7 +876,7 @@ def parametrized_pipeline(colouring: Colouring, bounds: PipelineBounds):
     content = [t for t in alphabet.top if len(t) <= bounds.letter_level + 1]
 
     def lifted(wrd: Word) -> int:
-        seq = _single_seq(wrd, 0)
+        seq = VarWordSequence((wrd,))
         return colouring(phi_encode(seq), psi_encode(seq, cols))
 
     word_colouring = Colouring.custom(lifted, colouring.r, arity="word",
@@ -927,7 +919,7 @@ def parametrized_pipeline(colouring: Colouring, bounds: PipelineBounds):
                 failures.append({"sample": a.to_dict(),
                                  "reason": "no on-colour word within distance 1"})
             else:
-                a_tilde = phi_encode(_single_seq(near, 0)).blocks[0]
+                a_tilde = phi_encode(VarWordSequence((near,))).blocks[0]
                 if linf_dist(a, a_tilde) > 1:
                     failures.append({"sample": a.to_dict(),
                                      "reason": "decoded vector drifted"})

@@ -21,7 +21,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 UNSIGNED = "unsigned"
 SIGNED = "signed"
@@ -238,6 +238,16 @@ def _tetris_entries(entries, j: int, sign: int) -> tuple[tuple[int, int], ...]:
         if m > 0:
             out.append((n, sign * m if v > 0 else -sign * m))
     return tuple(out)
+
+
+def _block_image(b: BlockVector, piece) -> Optional[tuple[int, int]]:
+    """(sign, j) with piece == sign * T^j(b), or None when the nonempty
+    (position, value) pairs of piece are no signed tetris image of b."""
+    j = b.k - max(abs(v) for _, v in piece)
+    for s in (1, -1) if b.mode == SIGNED else (1,):
+        if _tetris_entries(b.entries, j, s) == piece:
+            return s, j
+    return None
 
 
 def span_combinations(slots):

@@ -411,24 +411,24 @@ def compose(X: VarWordSequence, d: Decomposition) -> Word:
     return functools.reduce(concat, pieces)
 
 
-def _slot_pieces(X: VarWordSequence, pos: int, neg_t: bool = False):
-    """Distinct (symbols, k - class) pieces of generator slot `pos`.
+def _slot_pieces(gen: Word, level: int, neg_t: bool = False):
+    """Distinct (symbols, k - class) pieces of the generator `gen` whose
+    substitution letters come from alphabet level `level`.
 
-    The pieces are sign * T^j(x) for j in 0..k (with sign = (-1)^j when
-    neg_t, so that the piece is (-T)^j(x)) and x[lam] for every lam over
-    the slot's alphabet level, in that order.  Exponent 0 marks a piece
-    of full class k, which is x itself or, signed, its reflection.
+    The pieces are sign * T^j(gen) for j in 0..k (with sign = (-1)^j when
+    neg_t, so that the piece is (-T)^j(gen)) and gen[lam] for every lam
+    over that level, in that order.  Exponent 0 marks a piece of full
+    class k, which is gen itself or, signed, its reflection.
     """
-    k = X.k
-    gen = X.words[pos]
-    arity = k if X.mode == UNSIGNED else 2 * k
+    k = gen.k
+    arity = k if gen.mode == UNSIGNED else 2 * k
     if neg_t:
         opts = [((-1) ** j, j, None) for j in range(k + 1)]
     else:
-        signs = (1, -1) if X.mode == SIGNED else (1,)
+        signs = (1, -1) if gen.mode == SIGNED else (1,)
         opts = [(s, j, None) for j in range(k + 1) for s in signs]
-    level = X.alphabet.letters(X.indices[pos])
-    opts.extend((1, 0, lam) for lam in itertools.product(level, repeat=arity))
+    letters = gen.alphabet.letters(level)
+    opts.extend((1, 0, lam) for lam in itertools.product(letters, repeat=arity))
     distinct = {}
     for sign, j, lam in opts:
         piece = eval_segment(gen, sign, j, lam)
@@ -443,7 +443,7 @@ def _sorted_words(X: VarWordSequence, symbol_tuples) -> list[Word]:
 
 def span_words(X: VarWordSequence) -> list[Word]:
     """All span elements of full class k, deduplicated, canonical order."""
-    slots = [_slot_pieces(X, pos) for pos in range(len(X))]
+    slots = [_slot_pieces(w, n) for w, n in zip(X.words, X.indices)]
     return _sorted_words(X, (syms for syms, exp in span_combinations(slots)
                              if exp == 0))
 
@@ -452,8 +452,8 @@ def span_letters(X: VarWordSequence) -> list[Word]:
     """All variable-free concatenations under graded substitutions."""
     # the variable-free pieces are the substituted generators: T^k(x) is
     # x substituted with the zero letter, which every level holds
-    slots = [[(syms, exp) for syms, exp in _slot_pieces(X, pos) if exp == X.k]
-             for pos in range(len(X))]
+    slots = [[(syms, exp) for syms, exp in _slot_pieces(w, n) if exp == X.k]
+             for w, n in zip(X.words, X.indices)]
     return _sorted_words(X, (syms for syms, _ in span_combinations(slots)))
 
 
@@ -463,7 +463,7 @@ def span_negT(X: VarWordSequence) -> list[Word]:
         raise ValueError("the (-T) span requires signed mode")
     # the one piece of full class is (-T)^0(x) = x, so exponent 0 is
     # exactly "some generator kept whole with sign +1"
-    slots = [_slot_pieces(X, pos, neg_t=True) for pos in range(len(X))]
+    slots = [_slot_pieces(w, n, neg_t=True) for w, n in zip(X.words, X.indices)]
     return _sorted_words(X, (syms for syms, exp in span_combinations(slots)
                              if exp == 0))
 

@@ -62,6 +62,8 @@ from blockramsey.words import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+DECODE_K2_BLOCKS = ('[{"entries":[[8,2],[9,-1],[11,-1],[12,2],[34,-1],[36,-1],'
+                    '[38,-1],[42,1],[48,1],[54,1],[55,-1],[61,-1]]}]')
 
 
 def _report(criterion, started, budget, detail=""):
@@ -537,6 +539,12 @@ def test_c10_cli_golden_files():
           "--family", "support-size-mod", "--samples", "8"],
          "pipeline_signed.json", 0),
         (["selftest", "--seed", "0"], "selftest.json", 0),
+        # signed k=2 over four pairs: pair 0 is substituted away by the
+        # zero letter, block 1 enters as -b and block 2 as +T(b), and the
+        # element absorbs the trailing pair 3
+        (["decode", "--words", f"@{GOLDEN / 'decode_base_k2.json'}",
+          "--blocks", DECODE_K2_BLOCKS, "--sigmas", "[[1],[0,1],[1,0,1],[1,1]]"],
+         "decode_signed_k2.json", 0),
     ]
     for args, golden, want_code in cases:
         proc = subprocess.run(
@@ -546,5 +554,5 @@ def test_c10_cli_golden_files():
         assert proc.returncode == want_code, proc.stderr
         assert proc.stdout == (GOLDEN / golden).read_text()
     _report(10, started, 30.0,
-            "span/search (vector radius 0 and 1, word)/pipeline/selftest "
-            "byte-identical")
+            "span/search (vector radius 0 and 1, word)/pipeline/selftest/"
+            "decode byte-identical")

@@ -11,6 +11,12 @@ from blockramsey.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
+# an even-length unsigned k=1 word sequence over the default alphabet
+PAIR_WORDS = json.dumps([
+    {"k": 1, "mode": "unsigned", "symbols": [{"var": 1}]},
+    {"k": 1, "mode": "unsigned", "symbols": [{"letter": [1]}, {"var": 1}]},
+])
+
 
 def run_cli(*args):
     proc = subprocess.run(
@@ -296,6 +302,54 @@ class TestExitCodes:
                   "--b", '{"k":1,"mode":"unsigned","entries":[[0,1]]}'])
         assert exc.value.code == 2
         assert "error:" in capfd.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ("search", "--kind", "word", "--k", "0", "--lengths", "1,2"),
+        ("pipeline", "--k", "0"),
+    ])
+    def test_word_search_with_k_below_1_is_1(self, capfd, args):
+        # these once printed an exhaustion, exit 3: "no witness exists"
+        code, out, err = run_inproc(capfd, *args)
+        assert code == 1 and out == ""
+        assert err == "error: k must be at least 1\n"
+
+    @pytest.mark.parametrize("args,message", [
+        (("perfect-sets", "--words", PAIR_WORDS, "--index", "-1"),
+         "column index -1 is negative"),
+        (("encode", "--words", PAIR_WORDS, "--cols", "-2"),
+         "a matrix needs nonnegative rows and cols"),
+        (("span", "--blocks", '[{"entries":[[0,1]]}]', "--limit", "-1"),
+         "--limit -1 is negative"),
+        (("pipeline", "--samples", "-3"),
+         "letter_level and sample_count must be nonnegative"),
+        (("pipeline", "--letter-level", "-2"),
+         "letter_level and sample_count must be nonnegative"),
+    ])
+    def test_negative_count_or_index_is_1(self, capfd, args, message):
+        # each once gave a traceback or a silently wrong result
+        code, out, err = run_inproc(capfd, *args)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("args", [
+        ("dist", "--k", "vector", "--a", '{"k":1,"mode":"unsigned","entries":[[0,1]]}',
+         "--b", '{"k":1,"mode":"unsigned","entries":[[0,1]]}'),
+        ("search", "--N", "3", "--m", "1", "--col", "3", "--se", "1"),
+    ])
+    def test_option_prefix_is_2(self, capfd, args):
+        # a prefix once ran as the option it abbreviates (--kind, --colours)
+        with pytest.raises(SystemExit) as exc:
+            main(list(args))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capfd.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["words", "letters", "neg-t"])
+    @pytest.mark.parametrize("option", [("--mode", "signed"), ("--k", "1")])
+    def test_span_of_words_takes_no_mode_or_k(self, capfd, kind, option):
+        code, out, err = run_inproc(capfd, "span", "--kind", kind,
+                                    "--words", PAIR_WORDS, *option)
+        assert code == 1 and out == ""
+        assert err == f"error: span --kind {kind} takes its mode and k from --words\n"
 
     def test_exhausted_is_3(self, capfd):
         code, out, _ = run_inproc(

@@ -27,6 +27,7 @@ from blockramsey import (
     support,
     tetris,
 )
+from blockramsey import search as S
 from blockramsey import vectors as V
 from blockramsey.search import oracle_span_vectors
 
@@ -181,8 +182,9 @@ class TestSpan:
                     values[rng.randrange(size)] = rng.choice((k, -k))
                 blocks.append(BlockVector(k, mode, tuple(zip(positions, values))))
             seq = BlockSequence(tuple(blocks))
-            got = {v.entries for v in span(seq)}
-            assert got == brute_span_entries(blocks, k, mode)
+            want = brute_span_entries(blocks, k, mode)
+            assert {v.entries for v in span(seq)} == want
+            assert {v.entries for v in oracle_span_vectors(seq)} == want
 
     def test_span_matches_generate_then_filter(self):
         seq = BlockSequence(
@@ -199,6 +201,7 @@ class TestSpan:
 
         for name in ("span", "span_combinations"):
             monkeypatch.setattr(V, name, forbidden)
+        monkeypatch.setattr(S, "_VectorKernel", forbidden)
         assert oracle_span_vectors(seq) == want
 
     def test_span_canonical_order(self):
