@@ -163,6 +163,11 @@ def _cmd_decode(args) -> int:
     alphabet = _alphabet_from_arg(args.alphabet)
     Y = _words_from_arg(args.words, alphabet)
     A = _blocks_from_arg(_load_json(args.blocks), Y.k, Y.mode)
+    for field in ("k", "mode"):
+        theirs, ours = getattr(A, field), getattr(Y, field)
+        if theirs != ours:
+            raise ValueError(f"decode --blocks has {field} {json.dumps(theirs)} "
+                             f"but the base sequence has {field} {json.dumps(ours)}")
     sigmas = [E.bit_letter(s) for s in _load_json(args.sigmas)]
     Z = E.decode_witness(Y, A, sigmas)
     _emit({"words": Z.to_list()})
@@ -179,10 +184,12 @@ def _cmd_derive_b(args) -> int:
 def _cmd_perfect_sets(args) -> int:
     alphabet = _alphabet_from_arg(args.alphabet)
     Y = _words_from_arg(args.words, alphabet)
-    cols = args.cols if args.cols is not None else E.default_cols(Y)
-    indices = [args.index] if args.index is not None else range(cols)
-    for i in indices:
-        _emit(E.perfect_set(Y, i).to_dict())
+    if args.index is not None:
+        descs = [E.perfect_set(Y, args.index)]
+    else:
+        descs = E.derived_pair(Y, args.cols).perfect_sets
+    for desc in descs:
+        _emit(desc.to_dict())
     return EXIT_OK
 
 

@@ -60,6 +60,13 @@ def bit_at(token, i: int) -> int:
     return token[i] if i < len(token) else 0
 
 
+def _set_bits(token, cols: int) -> list[int]:
+    """The indices i < cols at which the bitstring token has a 1."""
+    if not isinstance(token, tuple):
+        raise ValueError("encodings need a bitstring alphabet")
+    return [i for i, b in enumerate(token[:cols]) if b]
+
+
 def bitstring_alphabet(max_level: int) -> Alphabet:
     """Levels of all canonical bitstrings supported within [0, n], n <= max_level."""
     levels = []
@@ -139,10 +146,7 @@ def psi_encode(X: VarWordSequence, cols: Optional[int] = None) -> ParamMatrix:
     for w in X.words:
         for sym in w.symbols:
             if isinstance(sym, Letter):
-                tok = sym.token
-                for i in range(cols):
-                    if bit_at(tok, i):
-                        bits.add((n, i))
+                bits.update((n, i) for i in _set_bits(sym.token, cols))
             n += 1
     return ParamMatrix(n, cols, frozenset(bits))
 
@@ -348,6 +352,8 @@ class DerivedPair:
 def derived_pair(Y: VarWordSequence, cols: Optional[int] = None) -> DerivedPair:
     if cols is None:
         cols = default_cols(Y)
+    if cols < 0:
+        raise ValueError(f"column count {cols} is negative")
     return DerivedPair(
         derive_B(Y), tuple(perfect_set(Y, i) for i in range(cols)), Y
     )

@@ -25,6 +25,7 @@ and samples the derived product to confirm the colour guarantee.
 from __future__ import annotations
 
 import bisect
+import copy
 import itertools
 import json
 import random
@@ -35,6 +36,8 @@ from . import words as W
 from .encodings import (
     DerivedPair,
     ParamMatrix,
+    _set_bits,
+    bitstring_alphabet,
     decode_witness,
     derived_pair,
     phi_encode,
@@ -609,15 +612,21 @@ def search_approx(problem: SearchProblem, colouring: Colouring):
     return _vector_search(problem, colouring)
 
 
-def word_candidates(alphabet: Alphabet, k: int, mode: str, length: int,
-                    letters: Optional[Iterable] = None) -> list[Word]:
-    """All full-class words of the given length, canonical order."""
-    letters = alphabet.letters(len(alphabet.levels)) if letters is None \
-        else sorted(letters, key=W.letter_key)
+def _slot_symbols(alphabet: Alphabet, k: int, mode: str,
+                  letters: Optional[Iterable] = None) -> list:
+    """The symbols a generator may hold, sorted by symbol_key: the given
+    letters (every letter of the alphabet when None) and the variables."""
+    letters = alphabet.top if letters is None else letters
     indices = range(1, k + 1) if mode == UNSIGNED else \
         [i for i in range(-k, k + 1) if i != 0]
     symbols = [Letter(t) for t in letters] + [Var(i) for i in indices]
-    symbols.sort(key=W.symbol_key)
+    return sorted(symbols, key=W.symbol_key)
+
+
+def word_candidates(alphabet: Alphabet, k: int, mode: str, length: int,
+                    letters: Optional[Iterable] = None) -> list[Word]:
+    """All full-class words of the given length, canonical order."""
+    symbols = _slot_symbols(alphabet, k, mode, letters)
     return list(_full_class_words(k, mode, alphabet, [symbols] * length))
 
 
@@ -647,12 +656,22 @@ def search_ghj(alphabet: Alphabet, k: int, mode: str, r: int,
     if colouring.arity != "word":
         raise ValueError("word searches need a word colouring")
     _check_colours(colouring, r, "the search asks for")
-    if letters is not None:
-        letters = list(letters)
-    candidates = [word_candidates(alphabet, k, mode, ln, letters)
-                  for ln in lengths]
+    symbols = _slot_symbols(alphabet, k, mode, letters)
+    # a slot's words are made as the search first reaches them and kept: a
+    # copy of a never-advanced tee re-reads the words made so far, then
+    # draws new ones
+    slots = [itertools.tee(_full_class_words(k, mode, alphabet,
+                                             [symbols] * ln), 1)[0]
+             for ln in lengths]
     piece_cache = {}
     feas_cache = {}
+    colours = {}  # symbol tuple -> colour: a search colours each word once
+
+    def colour_of(y: Word) -> int:
+        c = colours.get(y.symbols)
+        if c is None:
+            c = colours[y.symbols] = colouring(y)
+        return c
 
     def pieces(slot: int, wrd: Word):
         # rapid increase keeps the concatenations of distinct pieces distinct
@@ -667,7 +686,7 @@ def search_ghj(alphabet: Alphabet, k: int, mode: str, r: int,
         bits, done = feas_cache.get(syms, (0, False))
         if bits & want != want and not done:
             for y in iter_word_ball(Word(k, mode, alphabet, syms), radius):
-                bits |= 1 << colouring(y)
+                bits |= 1 << colour_of(y)
                 if bits & want == want:
                     break
             else:
@@ -675,8 +694,8 @@ def search_ghj(alphabet: Alphabet, k: int, mode: str, r: int,
             feas_cache[syms] = bits, done
         return bits & want
 
-    found = _dfs(len(lengths), lambda prefix: candidates[len(prefix)], pieces,
-                 feasible, r)
+    found = _dfs(len(lengths), lambda prefix: copy.copy(slots[len(prefix)]),
+                 pieces, feasible, r)
     if isinstance(found, Exhausted):
         return found
     prefix, span, feas = found
@@ -686,10 +705,10 @@ def search_ghj(alphabet: Alphabet, k: int, mode: str, r: int,
     cert = []
     for x in elements:
         if radius == 0:
-            cert.append({"element": x.to_dict(), "colour": colouring(x)})
+            cert.append({"element": x.to_dict(), "colour": colour_of(x)})
         else:
             nb = next(y for y in iter_word_ball(x, radius)
-                      if colouring(y) == colour)
+                      if colour_of(y) == colour)
             cert.append({
                 "element": x.to_dict(), "neighbour": nb.to_dict(),
                 "colour": colour, "dist": W.dist_words(x, nb),
@@ -830,6 +849,19 @@ def verify_witness(witness: Witness, colouring: Colouring) -> VerifyReport:
     )
 
 
+def _lift(colouring: Colouring, cols: int) -> Callable[[Word], int]:
+    """The word colouring w -> colouring(phi_encode(X), psi_encode(X, cols))
+    for X = (w,), with both encodings read straight off the word."""
+    def lifted(wrd: Word) -> int:
+        block = BlockVector(wrd.k, wrd.mode, W._var_entries(wrd))
+        bits = frozenset((n, i) for n, sym in enumerate(wrd.symbols)
+                         if isinstance(sym, Letter)
+                         for i in _set_bits(sym.token, cols))
+        return colouring(BlockSequence((block,)),
+                         ParamMatrix(len(wrd), cols, bits))
+    return lifted
+
+
 @dataclass(frozen=True)
 class PipelineBounds:
     mode: str
@@ -868,17 +900,11 @@ def parametrized_pipeline(colouring: Colouring, bounds: PipelineBounds):
     """
     if colouring.arity != "vector_matrix":
         raise ValueError("the pipeline needs a (vector sequence, matrix) colouring")
-    from .encodings import bitstring_alphabet
-
     depth = max(bounds.letter_level, len(bounds.lengths) - 1)
     alphabet = bitstring_alphabet(depth)
     cols = depth + 1
     content = [t for t in alphabet.top if len(t) <= bounds.letter_level + 1]
-
-    def lifted(wrd: Word) -> int:
-        seq = VarWordSequence((wrd,))
-        return colouring(phi_encode(seq), psi_encode(seq, cols))
-
+    lifted = _lift(colouring, cols)
     word_colouring = Colouring.custom(lifted, colouring.r, arity="word",
                                       name="lifted")
     radius = 0 if bounds.mode == UNSIGNED else 1

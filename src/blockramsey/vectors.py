@@ -244,6 +244,8 @@ def _block_image(b: BlockVector, piece) -> Optional[tuple[int, int]]:
     """(sign, j) with piece == sign * T^j(b), or None when the nonempty
     (position, value) pairs of piece are no signed tetris image of b."""
     j = b.k - max(abs(v) for _, v in piece)
+    if j < 0:  # a piece never exceeds its block's magnitude
+        return None
     for s in (1, -1) if b.mode == SIGNED else (1,):
         if _tetris_entries(b.entries, j, s) == piece:
             return s, j

@@ -324,10 +324,29 @@ class TestExitCodes:
          "letter_level and sample_count must be nonnegative"),
         (("pipeline", "--letter-level", "-2"),
          "letter_level and sample_count must be nonnegative"),
+        # a negative column count once printed nothing and exited 0
+        (("perfect-sets", "--words", PAIR_WORDS, "--cols", "-2"),
+         "column count -2 is negative"),
     ])
     def test_negative_count_or_index_is_1(self, capfd, args, message):
         # each once gave a traceback or a silently wrong result
         code, out, err = run_inproc(capfd, *args)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("block,message", [
+        # a k above the base's once reached the decoder as the tetris power
+        # T^-1 and failed with "exponent must be nonnegative"
+        ({"k": 2, "entries": [[2, 2]]},
+         "decode --blocks has k 2 but the base sequence has k 1"),
+        ({"mode": "signed", "entries": [[2, 1]]},
+         'decode --blocks has mode "signed" but the base sequence has mode '
+         '"unsigned"'),
+    ])
+    def test_decode_blocks_off_the_base_is_1(self, capfd, block, message):
+        code, out, err = run_inproc(capfd, "decode", "--words", PAIR_WORDS,
+                                    "--blocks", json.dumps([block]),
+                                    "--sigmas", "[[]]")
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
 

@@ -311,6 +311,14 @@ class TestDecode:
         with pytest.raises(ValueError):
             decode_witness(Y, bad, [ZERO, ZERO])
 
+    def test_piece_above_the_block_magnitude_rejected(self):
+        # a k=2 piece over a k=1 block once parsed as the tetris power T^-1
+        Y = _four_word_Y()
+        b = derive_B(Y).blocks[0]
+        above = BlockVector(2, "unsigned", tuple((n, 2 * v) for n, v in b.entries))
+        with pytest.raises(ValueError, match="does not restrict to a tetris image"):
+            decode_witness(Y, BlockSequence((above,)), [ZERO, ZERO])
+
     def test_random_round_trips(self):
         rng = random.Random(11)
         for mode in ("unsigned", "signed"):

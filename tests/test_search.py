@@ -1,5 +1,6 @@
 """Search engine: universes, documented outcomes, soundness, determinism."""
 
+import collections
 import gc
 import hashlib
 import json
@@ -33,7 +34,8 @@ from blockramsey.search import (
     witness_from_dict,
     word_ball,
 )
-from blockramsey.words import Var, classify
+from blockramsey.encodings import bitstring_alphabet, phi_encode, psi_encode
+from blockramsey.words import Var, VarWordSequence, classify
 from blockramsey.words import word as mkword
 
 AB = Alphabet.make([["0", "a"]], "0")
@@ -470,6 +472,65 @@ class TestBalls:
         assert 0 < calls < full
 
 
+# (colouring, mode, lengths, radius, outcome) of word searches whose outcome
+# was recorded before the search kept one colour per word: a witness by the
+# first 16 hex digits of the SHA-256 of its canonical JSON (certificate
+# included), an exhaustion by its node and dead-end counts
+COLOUR_ONCE = [
+    (Colouring.family("value-at-min-support", 2, arity="word"), 1, "unsigned",
+     (1, 3, 5), 0, "1521541eec93fd13"),
+    (Colouring.family("value-at-min-support", 2, arity="word"), 1, "signed",
+     (1, 2, 4), 1, "379e79fd4d9a6b31"),
+    (Colouring.family("min-position-mod", 2, arity="word"), 1, "signed",
+     (2, 3), 1, "73fa1e21ec6cc308"),
+    (Colouring.seeded(0, 2, arity="word"), 2, "signed", (1, 2), 1,
+     Exhausted(42, 40)),
+]
+
+
+@pytest.mark.parametrize("colouring,k,mode,lengths,radius,outcome", COLOUR_ONCE)
+def test_word_search_colours_each_word_once(colouring, k, mode, lengths, radius,
+                                            outcome):
+    # the DFS, the re-walks of balls that must show more colours and the
+    # certificate all read one colour memo
+    calls = collections.Counter()
+
+    def counted(w):
+        calls[w.symbols] += 1
+        return colouring(w)
+
+    res = search_ghj(AB, k, mode, 2, Colouring.custom(counted, 2, arity="word"),
+                     lengths, radius=radius)
+    assert calls and max(calls.values()) == 1
+    if isinstance(outcome, Exhausted):
+        assert res == outcome
+    else:
+        digest = hashlib.sha256(
+            S.canonical_json(res.to_dict()).encode()).hexdigest()[:16]
+        assert digest == outcome
+
+
+def test_word_search_makes_only_the_words_it_visits(monkeypatch):
+    # the signed (1, 2, 4, 8) level-1 slot holds 6^8 symbol strings; the
+    # search dead-ends on its first two length-1 candidates, so it must make
+    # none of the longer slots' words
+    made = 0
+    post_init = S.Word.__post_init__
+
+    def counted(self):
+        nonlocal made
+        made += 1
+        post_init(self)
+
+    monkeypatch.setattr(S.Word, "__post_init__", counted)
+    res = parametrized_pipeline(
+        Colouring.seeded(2, 2, arity="vector_matrix"),
+        PipelineBounds(mode="signed", k=1, lengths=(1, 2, 4, 8),
+                       letter_level=1, seed=2))
+    assert res == Exhausted(nodes=2, dead_ends=2)
+    assert made < 1000
+
+
 class TestPipeline:
     @pytest.mark.parametrize("mode", ["unsigned", "signed"])
     def test_constant_colouring(self, mode):
@@ -513,6 +574,30 @@ class TestPipeline:
         res = parametrized_pipeline(c, bounds)
         assert isinstance(res, Exhausted)
         assert res.nodes > 0
+
+    @pytest.mark.parametrize("mode", ["unsigned", "signed"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_lift_matches_the_encodings(self, mode, k):
+        # the lifted colouring reads both encodings straight off the word;
+        # they must equal the encodings of the one-word sequence
+        seen = []
+        record = Colouring.custom(lambda A, M: seen.append((A, M)) or 0, 2,
+                                  arity="vector_matrix")
+        ab = bitstring_alphabet(1)
+        for cols in (1, 3):
+            lifted = S._lift(record, cols)
+            for length in range(1, 5):
+                for w in S.word_candidates(ab, k, mode, length):
+                    seen.clear()
+                    lifted(w)
+                    seq = VarWordSequence((w,))
+                    assert seen == [(phi_encode(seq), psi_encode(seq, cols))]
+
+    def test_lift_needs_a_bitstring_alphabet(self):
+        lifted = S._lift(Colouring.custom(lambda A, M: 0, 2,
+                                          arity="vector_matrix"), 2)
+        with pytest.raises(ValueError, match="encodings need a bitstring alphabet"):
+            lifted(mkword(1, "unsigned", AB, ["a", 1]))
 
     def test_signed_four_generator_pipeline_finishes(self):
         # the lifted colouring is constant on words, so no ball ever shows
