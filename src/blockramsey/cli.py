@@ -184,10 +184,15 @@ def _cmd_derive_b(args) -> int:
 def _cmd_perfect_sets(args) -> int:
     alphabet = _alphabet_from_arg(args.alphabet)
     Y = _words_from_arg(args.words, alphabet)
-    if args.index is not None:
-        descs = [E.perfect_set(Y, args.index)]
-    else:
+    if args.index is None:
         descs = E.derived_pair(Y, args.cols).perfect_sets
+    else:
+        if args.cols is not None and args.cols < 0:
+            raise ValueError(f"column count {args.cols} is negative")
+        if args.cols is not None and args.index >= args.cols:
+            raise ValueError(f"column index {args.index} is not below the "
+                             f"column count {args.cols}")
+        descs = [E.perfect_set(Y, args.index)]
     for desc in descs:
         _emit(desc.to_dict())
     return EXIT_OK

@@ -891,12 +891,45 @@ class PipelineResult:
         return not self.failures
 
 
+def _check_sample(Y: VarWordSequence, pair: DerivedPair, cols: int,
+                  a: BlockVector, deltas: tuple, mode: str,
+                  lifted: Callable[[Word], int], colour: int) -> Optional[dict]:
+    """Decode one point (a, deltas) of the derived product back to a word and
+    check it; the failure record, or None when the point passes."""
+    sigmas = product_to_sigmas(Y, deltas)
+    Z = decode_witness(Y, BlockSequence((a,)), sigmas)
+    z = Z.words[0]
+    assembled = ParamMatrix(
+        pair.perfect_sets[0].length, cols,
+        frozenset((n, i) for i, delta in enumerate(deltas)
+                  for n, b in enumerate(delta) if b),
+    )
+    if phi_encode(Z).blocks != (a,):
+        return {"sample": a.to_dict(), "reason": "vector encode mismatch"}
+    if psi_encode(Z, cols) != assembled:
+        return {"sample": a.to_dict(), "reason": "matrix encode mismatch"}
+    if mode == UNSIGNED:
+        if lifted(z) != colour:
+            return {"sample": a.to_dict(), "reason": "colour mismatch"}
+        return None
+    near = next((y for y in iter_word_ball(z, 1) if lifted(y) == colour), None)
+    if near is None:
+        return {"sample": a.to_dict(),
+                "reason": "no on-colour word within distance 1"}
+    a_tilde = phi_encode(VarWordSequence((near,))).blocks[0]
+    if linf_dist(a, a_tilde) > 1:
+        return {"sample": a.to_dict(), "reason": "decoded vector drifted"}
+    return None
+
+
 def parametrized_pipeline(colouring: Colouring, bounds: PipelineBounds):
     """Lift a (vector sequence, matrix) colouring to single words, search for
     an even-length witness sequence, and derive the block sequence plus the
     per-column constraint records.  The derived product is then sampled: each
     sample decodes back to a word and must land on the witness colour
     (exactly in unsigned mode, within sequence distance 1 in signed mode).
+    Each distinct drawn point is checked once; a failing point is listed
+    once per draw, and `samples` counts draws.
     """
     if colouring.arity != "vector_matrix":
         raise ValueError("the pipeline needs a (vector sequence, matrix) colouring")
@@ -917,38 +950,17 @@ def parametrized_pipeline(colouring: Colouring, bounds: PipelineBounds):
     pair = derived_pair(Y, cols)
     rng = random.Random(bounds.seed)
     failures = []
+    checked = {}
     for _ in range(bounds.sample_count):
         a = random_span_element(rng, pair.B)
-        deltas = [random_satisfying_string(rng, desc)
-                  for desc in pair.perfect_sets]
-        sigmas = product_to_sigmas(Y, deltas)
-        Z = decode_witness(Y, BlockSequence((a,)), sigmas)
-        z = Z.words[0]
-        assembled = ParamMatrix(
-            pair.perfect_sets[0].length, cols,
-            frozenset((n, i) for i, delta in enumerate(deltas)
-                      for n, b in enumerate(delta) if b),
-        )
-        if phi_encode(Z).blocks != (a,):
-            failures.append({"sample": a.to_dict(), "reason": "vector encode mismatch"})
-            continue
-        if psi_encode(Z, cols) != assembled:
-            failures.append({"sample": a.to_dict(), "reason": "matrix encode mismatch"})
-            continue
-        if bounds.mode == UNSIGNED:
-            if lifted(z) != found.colour:
-                failures.append({"sample": a.to_dict(), "reason": "colour mismatch"})
-        else:
-            near = next((y for y in iter_word_ball(z, 1)
-                         if lifted(y) == found.colour), None)
-            if near is None:
-                failures.append({"sample": a.to_dict(),
-                                 "reason": "no on-colour word within distance 1"})
-            else:
-                a_tilde = phi_encode(VarWordSequence((near,))).blocks[0]
-                if linf_dist(a, a_tilde) > 1:
-                    failures.append({"sample": a.to_dict(),
-                                     "reason": "decoded vector drifted"})
+        deltas = tuple(random_satisfying_string(rng, desc)
+                       for desc in pair.perfect_sets)
+        if (a, deltas) not in checked:
+            checked[a, deltas] = _check_sample(Y, pair, cols, a, deltas,
+                                               bounds.mode, lifted, found.colour)
+        failure = checked[a, deltas]
+        if failure is not None:
+            failures.append(failure)
     return PipelineResult(pair=pair, colour=found.colour, cols=cols,
                           samples=bounds.sample_count,
                           failures=tuple(failures))

@@ -327,6 +327,13 @@ class TestExitCodes:
         # a negative column count once printed nothing and exited 0
         (("perfect-sets", "--words", PAIR_WORDS, "--cols", "-2"),
          "column count -2 is negative"),
+        # with an index, --cols was once ignored: these printed a record, exit 0
+        (("perfect-sets", "--words", PAIR_WORDS, "--index", "5", "--cols", "2"),
+         "column index 5 is not below the column count 2"),
+        (("perfect-sets", "--words", PAIR_WORDS, "--index", "2", "--cols", "2"),
+         "column index 2 is not below the column count 2"),
+        (("perfect-sets", "--words", PAIR_WORDS, "--index", "0", "--cols", "-2"),
+         "column count -2 is negative"),
     ])
     def test_negative_count_or_index_is_1(self, capfd, args, message):
         # each once gave a traceback or a silently wrong result

@@ -611,6 +611,43 @@ class TestPipeline:
         assert isinstance(res, PipelineResult) and res.passed
         assert elapsed < 60.0, f"{elapsed:.1f} s over the 60 s budget"
 
+    def test_each_distinct_point_is_checked_once(self, monkeypatch):
+        # the 60 draws hit 12 distinct points of the derived product; each
+        # point is decoded once, where every draw once decoded its own
+        calls = 0
+        decode = S.decode_witness
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return decode(*args)
+
+        monkeypatch.setattr(S, "decode_witness", counted)
+        res = parametrized_pipeline(
+            Colouring.family("support-size-mod", 2, arity="vector_matrix"),
+            PipelineBounds(mode="unsigned", k=1, lengths=(1, 2, 4, 8),
+                           sample_count=60))
+        assert calls <= 12
+        doc = {"B": [b.to_dict() for b in res.pair.B.blocks],
+               "perfect_sets": [d.to_dict() for d in res.pair.perfect_sets],
+               "colour": res.colour, "cols": res.cols,
+               "samples": res.samples, "failures": list(res.failures)}
+        digest = hashlib.sha256(S.canonical_json(doc).encode()).hexdigest()[:16]
+        assert digest == "7fee66292c7e83ef"  # recorded when every draw was checked
+
+    def test_a_failing_point_is_listed_once_per_draw(self, monkeypatch):
+        # the (2, 3) product has few points, so the 25 draws repeat them;
+        # each draw of a failing point still adds its own failure
+        monkeypatch.setattr(S, "linf_dist", lambda a, b: 2)
+        c = Colouring.custom(lambda A, M: 0, 2, arity="vector_matrix",
+                             name="constant")
+        res = parametrized_pipeline(
+            c, PipelineBounds(mode="signed", k=1, lengths=(2, 3),
+                              sample_count=25, seed=3))
+        assert res.samples == 25
+        assert [f["reason"] for f in res.failures] == \
+            ["decoded vector drifted"] * 25
+
 
 class TestCertificates:
     def test_vector_certificate_lists_whole_span(self):
