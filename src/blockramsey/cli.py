@@ -59,6 +59,14 @@ def _words_from_arg(value, alphabet) -> W.VarWordSequence:
     return W.VarWordSequence.from_list(_load_json(value), alphabet)
 
 
+def _lengths_from_arg(value: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in value.split(","))
+    except ValueError:
+        raise ValueError(f"--lengths must be comma-separated integers, not "
+                         f"{json.dumps(value)}") from None
+
+
 def _table_from_file(path: str) -> tuple[dict, int | None]:
     """The mapping and default of a colour table file: a JSON object whose
     "mapping" maps element keys to integer colours, with an optional
@@ -203,21 +211,16 @@ def _cmd_search(args) -> int:
         problem = SearchProblem(mode=args.mode, k=args.k, r=args.colours,
                                 N=args.N, m=args.m, radius=args.radius)
         colouring = _colouring_from_args(args, "vector")
-        if args.radius == 0:
-            result = S.search_exact(problem, colouring)
-        else:
-            result = S.search_approx(problem, colouring)
+        search = S.search_exact if args.radius == 0 else S.search_approx
+        result = search(problem, colouring)
     else:
         alphabet = _alphabet_from_arg(args.alphabet)
-        lengths = [int(x) for x in args.lengths.split(",")]
+        lengths = _lengths_from_arg(args.lengths)
         colouring = _colouring_from_args(args, "word")
         result = S.search_ghj(alphabet, args.k, args.mode, args.colours,
                               colouring, lengths, radius=args.radius)
-    if isinstance(result, Exhausted):
-        _emit(result.to_dict())
-        return EXIT_EXHAUSTED
     _emit(result.to_dict())
-    return EXIT_OK
+    return EXIT_EXHAUSTED if isinstance(result, Exhausted) else EXIT_OK
 
 
 def _cmd_verify(args) -> int:
@@ -230,7 +233,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     colouring = _colouring_from_args(args, "vector_matrix")
-    lengths = tuple(int(x) for x in args.lengths.split(","))
+    lengths = _lengths_from_arg(args.lengths)
     bounds = PipelineBounds(mode=args.mode, k=args.k, lengths=lengths,
                             letter_level=args.letter_level,
                             sample_count=args.samples, seed=args.seed)

@@ -24,8 +24,8 @@ and samples the derived product to confirm the colour guarantee.
 
 from __future__ import annotations
 
-import bisect
 import copy
+import functools
 import itertools
 import json
 import random
@@ -309,27 +309,37 @@ def enumerate_universe(k: int, N: int, mode: str) -> list[BlockVector]:
 
 
 def iter_vector_ball(p: BlockVector, N: int, radius: int):
-    """Yield the universe members within sup-norm distance radius of p, in
-    value-grid order, building each one only when it is asked for."""
-    if radius == 0:
-        yield p
-        return
-    k, mode = p.k, p.mode
+    """Yield the universe members within sup-norm distance radius of p in
+    canonical (BlockVector.sort_key) order, each built only when asked for."""
+    lo = 0 if p.mode == UNSIGNED else -p.k
     vals = dict(p.entries)
-    choices = []
-    for n in range(N):
-        v = vals.get(n, 0)
-        lo = 0 if mode == UNSIGNED else -k
-        choices.append([u for u in range(v - radius, v + radius + 1) if lo <= u <= k])
-    for combo in itertools.product(*choices):
-        entries = tuple((n, u) for n, u in enumerate(combo) if u != 0)
-        if entries and max(abs(u) for _, u in entries) == k:
-            yield BlockVector(k, mode, entries)
+    options = [[u for u in range(v - radius, v + radius + 1) if lo <= u <= p.k]
+               for v in (vals.get(n, 0) for n in range(N))]
+    # no member ends before the last position that cannot be 0
+    last = max([n for n, opts in enumerate(options) if 0 not in opts] + [-1])
+    return _ball_walk(p, options, last, 0, (), False)
+
+
+def _ball_walk(p: BlockVector, options: list, last: int, start: int,
+               head: tuple, full: bool):
+    """Yield the members of p's ball that extend `head` by values from
+    options[n] at positions n >= start: the next nonzero position ascending,
+    then its value ascending, each member before its extensions."""
+    for n in range(start, len(options)):
+        for u in options[n]:
+            if u:
+                entries = head + ((n, u),)
+                reached = full or abs(u) == p.k
+                if reached and n >= last:
+                    yield BlockVector(p.k, p.mode, entries)
+                yield from _ball_walk(p, options, last, n + 1, entries, reached)
+        if 0 not in options[n]:
+            return  # a position that cannot be 0 cannot be skipped
 
 
 def vector_ball(p: BlockVector, N: int, radius: int) -> list[BlockVector]:
     """Universe members within sup-norm distance radius of p, canonical order."""
-    return sorted(iter_vector_ball(p, N, radius), key=BlockVector.sort_key)
+    return list(iter_vector_ball(p, N, radius))
 
 
 def iter_word_ball(x: Word, radius: int):
@@ -450,37 +460,28 @@ class _VectorKernel:
         return range(self.starts[reach + 1], len(self.codes))
 
     def _bits(self, code: int) -> int:
-        bits = self._colour_bits.get(code)
-        if bits is None:
-            bits = 0
-            if code in self.index:
-                bits = 1 << self.colouring(self.vector(code))
-            self._colour_bits[code] = bits
-        return bits
+        bit = self._colour_bits.get(code)
+        if bit is None:
+            bit = 1 << self.colouring(self.vector(code)) if code in self.index else 0
+            self._colour_bits[code] = bit
+        return bit
 
-    def box(self, code: int) -> Iterable[int]:
-        """Codes of every cell within sup-norm distance `radius` of `code`,
-        yielded lazily at radius 1 (position 0 varies slowest)."""
-        if not self.radius:
-            return (code,)
-        cell = code + self.base
-        shifts = []
-        for step in self.powers:
-            digit = cell // step % self.B
-            shifts.append([d * step for d in (-1, 0, 1) if 0 <= digit + d < self.B])
-        return map(code.__add__, map(sum, itertools.product(*shifts)))
+    def ball(self, code: int) -> Iterable[int]:
+        """The colour bit of every cell within sup-norm distance `radius` of
+        `code` (0 for a cell outside the universe), each cell coloured only
+        when the walk reaches it; position 0 varies slowest."""
+        cells = (code,)
+        if self.radius:
+            cell = code + self.base
+            shifts = [[d * step for d in (-1, 0, 1)
+                       if 0 <= cell // step % self.B + d < self.B]
+                      for step in self.powers]
+            cells = map(code.__add__, map(sum, itertools.product(*shifts)))
+        return map(self._bits, cells)
 
-    def feasible(self, code: int, want: int) -> int:
-        """The colours of `want` that the span element `code` allows, as a
-        bitmask; the walk over its box stops once all of them are seen."""
-        seen = 0
-        cached = self._colour_bits.get
-        for c in self.box(code):
-            bits = cached(c)
-            seen |= self._bits(c) if bits is None else bits
-            if seen & want == want:
-                return want
-        return seen & want
+    def colour_bit(self, p: BlockVector) -> int:
+        """The colour bit of a universe member's cell."""
+        return self._bits(sum(v * self.powers[n] for n, v in p.entries))
 
     def variants(self, ci: int) -> list[tuple[int, int]]:
         """(code, tetris exponent) of every signed tetris image of a block,
@@ -499,19 +500,8 @@ class _VectorKernel:
             self._variants[ci] = out
         return out
 
-    def neighbour(self, code: int, colour: int) -> BlockVector:
-        """Least universe member within sup-norm distance `radius` of `code`
-        that has the colour, in canonical order; cells are coloured in that
-        order until the first one with the colour."""
-        bit = 1 << colour
-        # cells outside the universe sort first, as index -1
-        places = sorted(map(self.index.get, self.box(code), itertools.repeat(-1)))
-        return next(self.vector(self.codes[i])
-                    for i in places[bisect.bisect_left(places, 0):]
-                    if self._bits(self.codes[i]) & bit)
 
-
-def _dfs(m: int, candidates: Callable, pieces: Callable, feasible: Callable,
+def _dfs(m: int, candidates: Callable, pieces: Callable, ball: Callable,
          r: int):
     """Least m-slot prefix, in canonical order, whose span keeps a colour.
 
@@ -520,17 +510,25 @@ def _dfs(m: int, candidates: Callable, pieces: Callable, feasible: Callable,
     (value, exponent) pairs.  An element of a prefix's span takes one piece
     from each slot of a nonempty set of slots: values add (integer codes,
     or symbol tuples that concatenate) and exponents take their minimum,
-    so exponent 0 marks a span element.  `feasible(value, want)` is the
-    bitmask of the colours in `want` (the ones still alive) that a span
-    element allows (bit c for colour c).
+    so exponent 0 marks a span element.  `ball(value)` yields one colour
+    bit (1 << c, or 0 for a vector cell outside the universe) per member
+    of a span element's ball.
+
+    The search keeps, per element, the colour bits seen and a mark once its
+    whole ball was seen.  A walk stops once every colour still alive is
+    seen; a later visit that wants more colours walks the ball again from
+    its start, and a ball walked whole is never walked again.  So each
+    element allows exactly the colours of its whole ball.
 
     A node is one evaluated candidate prefix; a dead end is a node whose
     partial span already excludes every colour.  Returns (prefix, span,
-    colours) for the first surviving prefix of m slots, or Exhausted.
+    colour) for the first surviving prefix of m slots, or Exhausted.
     """
     nodes = dead_ends = 0
+    seen = {}  # value -> colour bits seen, with `whole` once the ball ends
+    whole = 1 << r  # above every colour bit, so `colours &= bits` drops it
 
-    def extend(prefix, span, feas):
+    def extend(prefix, span, want):
         nonlocal nodes, dead_ends
         slot = len(prefix)
         for cand in candidates(prefix):
@@ -540,17 +538,28 @@ def _dfs(m: int, candidates: Callable, pieces: Callable, feasible: Callable,
                 fresh.append((value, exp))
                 for v, e in span:
                     fresh.append((v + value, min(e, exp)))
-            colours = feas
+            colours = want
             for value, exp in fresh:
                 if exp == 0:
-                    colours = feasible(value, colours)
+                    bits = seen.get(value, 0)
+                    if bits & colours != colours and not bits & whole:
+                        for bit in ball(value):
+                            bits |= bit
+                            if bits & colours == colours:
+                                break
+                        else:
+                            bits |= whole
+                        seen[value] = bits
+                    colours &= bits
                     if not colours:
                         break
             if not colours:
                 dead_ends += 1
                 continue
             if slot + 1 == m:
-                return prefix + [cand], span + fresh, colours
+                # the witness colour is the least one the span keeps
+                return (prefix + [cand], span + fresh,
+                        (colours & -colours).bit_length() - 1)
             found = extend(prefix + [cand], span + fresh, colours)
             if found is not None:
                 return found
@@ -563,34 +572,39 @@ def _dfs(m: int, candidates: Callable, pieces: Callable, feasible: Callable,
     return Exhausted(nodes, dead_ends) if found is None else found
 
 
+def _certificate(elements, colour: int, radius: int, walk: Callable,
+                 colour_bit: Callable, dist: Callable) -> tuple:
+    """Each span element with its evidence: at radius 1, the first member of
+    `walk(x, radius)` (its canonical ball) with the colour, and its distance."""
+    cert = []
+    for x in elements:
+        entry = {"element": x.to_dict(), "colour": colour}
+        if radius:
+            nb = next(y for y in walk(x, radius) if colour_bit(y) == 1 << colour)
+            entry.update(neighbour=nb.to_dict(), dist=dist(x, nb))
+        cert.append(entry)
+    return tuple(cert)
+
+
 def _vector_search(problem: SearchProblem, colouring: Colouring):
     if colouring.arity != "vector":
         raise ValueError("vector searches need a vector colouring")
     _check_colours(colouring, problem.r, "the search asks for")
     kernel = _VectorKernel(problem, colouring)
     found = _dfs(problem.m, kernel.candidates,
-                 lambda slot, ci: kernel.variants(ci),
-                 kernel.feasible, problem.r)
+                 lambda slot, ci: kernel.variants(ci), kernel.ball, problem.r)
     if isinstance(found, Exhausted):
         return found
-    prefix, span, feas = found
-    colour = (feas & -feas).bit_length() - 1
+    prefix, span, colour = found
     # the universe is in canonical order, so sorting by index sorts the span
     members = sorted((kernel.index[code], code) for code, j in span if j == 0)
-    cert = []
-    for i, code in members:
-        p = kernel.vector(code)
-        if problem.radius == 0:
-            cert.append({"element": p.to_dict(), "colour": colour})
-        else:
-            nb = kernel.neighbour(code, colour)
-            cert.append({
-                "element": p.to_dict(), "neighbour": nb.to_dict(),
-                "colour": colour, "dist": linf_dist(p, nb),
-            })
+    cert = _certificate([kernel.vector(code) for _, code in members], colour,
+                        problem.radius,
+                        lambda p, radius: iter_vector_ball(p, problem.N, radius),
+                        kernel.colour_bit, linf_dist)
     return Witness(
         kind="vector", mode=problem.mode, k=problem.k, r=problem.r,
-        radius=problem.radius, colour=colour, certificate=tuple(cert),
+        radius=problem.radius, colour=colour, certificate=cert,
         blocks=BlockSequence(tuple(kernel.vector(kernel.codes[i])
                                    for i in prefix)),
         N=problem.N, rule=colouring.rule_name(),
@@ -663,60 +677,30 @@ def search_ghj(alphabet: Alphabet, k: int, mode: str, r: int,
     slots = [itertools.tee(_full_class_words(k, mode, alphabet,
                                              [symbols] * ln), 1)[0]
              for ln in lengths]
-    piece_cache = {}
-    feas_cache = {}
-    colours = {}  # symbol tuple -> colour: a search colours each word once
+    # rapid increase keeps the concatenations of distinct pieces distinct
+    pieces = functools.cache(lambda slot, wrd: W._slot_pieces(wrd, slot))
+    bits = {}  # symbol tuple -> 1 << colour: a search colours each word once
 
-    def colour_of(y: Word) -> int:
-        c = colours.get(y.symbols)
-        if c is None:
-            c = colours[y.symbols] = colouring(y)
-        return c
-
-    def pieces(slot: int, wrd: Word):
-        # rapid increase keeps the concatenations of distinct pieces distinct
-        if (slot, wrd) not in piece_cache:
-            piece_cache[slot, wrd] = W._slot_pieces(wrd, slot)
-        return piece_cache[slot, wrd]
-
-    def feasible(syms, want: int) -> int:
-        # (colours seen, whether the whole ball was seen); a walk stops at the
-        # first point where every colour of want is seen, and a later call
-        # that wants more colours walks the ball again from its start
-        bits, done = feas_cache.get(syms, (0, False))
-        if bits & want != want and not done:
-            for y in iter_word_ball(Word(k, mode, alphabet, syms), radius):
-                bits |= 1 << colour_of(y)
-                if bits & want == want:
-                    break
-            else:
-                done = True
-            feas_cache[syms] = bits, done
-        return bits & want
+    def colour_bit(y: Word) -> int:
+        bit = bits.get(y.symbols)
+        if bit is None:
+            bit = bits[y.symbols] = 1 << colouring(y)
+        return bit
 
     found = _dfs(len(lengths), lambda prefix: copy.copy(slots[len(prefix)]),
-                 pieces, feasible, r)
+                 pieces, lambda syms: map(colour_bit, iter_word_ball(
+                     Word(k, mode, alphabet, syms), radius)), r)
     if isinstance(found, Exhausted):
         return found
-    prefix, span, feas = found
-    colour = (feas & -feas).bit_length() - 1
+    prefix, span, colour = found
     elements = sorted((Word(k, mode, alphabet, syms)
                        for syms, exp in span if exp == 0), key=Word.sort_key)
-    cert = []
-    for x in elements:
-        if radius == 0:
-            cert.append({"element": x.to_dict(), "colour": colour_of(x)})
-        else:
-            nb = next(y for y in iter_word_ball(x, radius)
-                      if colour_of(y) == colour)
-            cert.append({
-                "element": x.to_dict(), "neighbour": nb.to_dict(),
-                "colour": colour, "dist": W.dist_words(x, nb),
-            })
     return Witness(
         kind="word", mode=mode, k=k, r=r, radius=radius, colour=colour,
-        certificate=tuple(cert), words=VarWordSequence(tuple(prefix)),
-        lengths=lengths, rule=colouring.rule_name(),
+        certificate=_certificate(elements, colour, radius, iter_word_ball,
+                                 colour_bit, W.dist_words),
+        words=VarWordSequence(tuple(prefix)), lengths=lengths,
+        rule=colouring.rule_name(),
     )
 
 
@@ -805,8 +789,10 @@ def verify_witness(witness: Witness, colouring: Colouring) -> VerifyReport:
 
     A malformed request raises ValueError instead: a witness whose mode is
     unknown, whose radius is not 0 or 1, or whose radius is 1 outside signed
-    mode; a colouring with another number of colours than the witness; or a
-    vector witness with a block position outside [0, N).
+    mode; a colouring with another number of colours than the witness; a
+    colour outside [0, r); a k or mode other than the blocks' or words'; a
+    vector witness with a block position outside [0, N); or word lengths
+    other than `lengths`.
     """
     if witness.mode not in MODES:
         raise ValueError(f"unknown witness mode {json.dumps(witness.mode)}")
@@ -815,16 +801,25 @@ def verify_witness(witness: Witness, colouring: Colouring) -> VerifyReport:
     if witness.radius == 1 and witness.mode != SIGNED:
         raise ValueError("a radius-1 witness requires signed mode")
     _check_colours(colouring, witness.r, "the witness was found with")
+    if not 0 <= witness.colour < witness.r:
+        raise ValueError(f"witness colour {witness.colour} lies outside "
+                         f"[0, {witness.r})")
+    seq = witness.blocks if witness.kind == "vector" else witness.words
+    if (seq.k, seq.mode) != (witness.k, witness.mode):
+        raise ValueError(f"the witness has k={witness.k} and mode "
+                         f"{json.dumps(witness.mode)} but its {witness.kind}s "
+                         f"have k={seq.k} and mode {json.dumps(seq.mode)}")
     if witness.kind == "vector":
-        reach = witness.blocks.blocks[-1].max_support
+        reach = seq.blocks[-1].max_support
         if witness.N is None or reach >= witness.N:
             raise ValueError(f"witness block position {reach} lies outside "
                              f"[0, N) for N={witness.N}")
+    elif [len(w) for w in seq] != list(witness.lengths):
+        raise ValueError(f"the witness lengths {list(witness.lengths)} differ "
+                         f"from its words' {[len(w) for w in seq]}")
     failures = []
-    if witness.kind == "vector":
-        elements = oracle_span_vectors(witness.blocks)
-    else:
-        elements = oracle_span_words(witness.words)
+    elements = (oracle_span_vectors(seq) if witness.kind == "vector" else
+                oracle_span_words(seq))
     for x in elements:
         if witness.radius == 0:
             c = colouring(x)

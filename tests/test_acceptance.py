@@ -529,6 +529,9 @@ def test_c10_cli_golden_files():
         (["search", "--mode", "signed", "--k", "1", "--N", "5", "--m", "3",
           "--colours", "3", "--radius", "1", "--seed", "1"],
          "search_radius1.json", 0),
+        (["search", "--mode", "signed", "--k", "1", "--N", "12", "--m", "3",
+          "--radius", "1", "--seed", "7"],
+         "search_radius1_N12.json", 0),
         (["search", "--mode", "signed", "--k", "2", "--N", "5", "--m", "2",
           "--colours", "2", "--family", "weighted-sum-mod"],
          "search_weighted_sum_k2.json", 0),

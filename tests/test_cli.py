@@ -139,6 +139,43 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("golden,colouring,edits,message", [
+        ("search_witness.json", ("--family", "support-size-mod"),
+         {"mode": "signed", "radius": 1},
+         'the witness has k=1 and mode "signed" but its vectors have k=1 '
+         'and mode "unsigned"'),
+        ("search_witness.json", ("--family", "support-size-mod"),
+         {"colour": 2}, "witness colour 2 lies outside [0, 2)"),
+        ("search_word_radius1.json", ("--colours", "3", "--seed", "5"),
+         {"k": 3, "lengths": [7, 9]},
+         'the witness has k=3 and mode "signed" but its words have k=1 '
+         'and mode "signed"'),
+        ("search_word_radius1.json", ("--colours", "3", "--seed", "5"),
+         {"lengths": [2, 4]},
+         "the witness lengths [2, 4] differ from its words' [2, 3]"),
+    ])
+    def test_verify_header_that_disagrees_with_the_body_is_1(
+            self, capfd, tmp_path, golden, colouring, edits, message):
+        # the mode and k cases once printed "passed": true, exit 0
+        data = json.loads((GOLDEN / golden).read_text())
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(dict(data, **edits)))
+        code, out, err = run_inproc(capfd, "verify", "--witness", f"@{path}",
+                                    *colouring)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("args,value", [
+        (("search", "--kind", "word", "--lengths", ""), '""'),
+        (("pipeline", "--lengths", "1,x"), '"1,x"'),
+    ])
+    def test_lengths_that_are_not_integers_is_1(self, capfd, args, value):
+        # these once printed "invalid literal for int() with base 10"
+        code, out, err = run_inproc(capfd, *args)
+        assert code == 1 and out == ""
+        assert err == ("error: --lengths must be comma-separated integers, "
+                       f"not {value}\n")
+
     @pytest.mark.parametrize("blocks", ['{"entries":5}', '[5]', '[{"entries":5}]'])
     def test_span_malformed_blocks_is_1(self, capfd, blocks):
         code, out, err = run_inproc(capfd, "span", "--blocks", blocks)

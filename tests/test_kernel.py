@@ -4,10 +4,13 @@ variants, on-demand colouring and box walks), against the independent
 pinned search outcomes."""
 
 import hashlib
+import math
 
 import pytest
 
+import blockramsey.search as S
 from blockramsey import (
+    BlockVector,
     Colouring,
     Exhausted,
     SearchProblem,
@@ -58,21 +61,25 @@ def _colours(bits, r):
 def test_grid_feasibility_and_neighbours_match_ball(k, N, spec, r):
     # "grid" is the cell grid of all B**N value assignments that codes index
     colouring = _colouring(spec, r)
-    full = (1 << r) - 1
-    # the partial mask leaves colour 1 out: the result must drop it, and a
-    # walk may stop as soon as the other colours are seen
     for radius in (0, 1):
-        for want in (full, full & ~2):
-            universe, kernel = _kernel(k, N, colouring, r, radius)
-            for p in universe:
-                ball = vector_ball(p, N, radius)
-                expected = frozenset(colouring(q) for q in ball)
-                code = _code(kernel, p.entries)
-                bits = kernel.feasible(code, want)
-                assert _colours(bits, r) == expected & _colours(want, r)
-                for colour in expected:
-                    first = next(q for q in ball if colouring(q) == colour)
-                    assert kernel.neighbour(code, colour) == first
+        universe, kernel = _kernel(k, N, colouring, r, radius)
+        for p in universe:
+            ball = vector_ball(p, N, radius)
+            bits = list(kernel.ball(_code(kernel, p.entries)))
+            # one bit per cell of the box: a member's colour bit, else 0
+            vals = dict(p.entries)
+            assert len(bits) == math.prod(
+                sum(abs(u - vals.get(n, 0)) <= radius for u in range(-k, k + 1))
+                for n in range(N))
+            assert sorted(b for b in bits if b) == \
+                sorted(1 << colouring(q) for q in ball)
+            # the certificate's neighbour: the first member of the walk with
+            # the colour is the least such member in canonical order
+            for colour in {colouring(q) for q in ball}:
+                first = next(q for q in S.iter_vector_ball(p, N, radius)
+                             if kernel.colour_bit(q) == 1 << colour)
+                assert first == min((q for q in ball if colouring(q) == colour),
+                                    key=BlockVector.sort_key)
 
 
 def test_grid_with_more_colours_than_a_machine_word():
@@ -83,7 +90,9 @@ def test_grid_with_more_colours_than_a_machine_word():
         for p in universe:
             expected = frozenset(colouring(q)
                                  for q in vector_ball(p, 3, radius))
-            bits = kernel.feasible(_code(kernel, p.entries), (1 << 70) - 1)
+            bits = 0
+            for bit in kernel.ball(_code(kernel, p.entries)):
+                bits |= bit
             assert _colours(bits, 70) == expected
 
 

@@ -20,6 +20,7 @@ from blockramsey import (
     SearchProblem,
     Witness,
     enumerate_universe,
+    linf_dist,
     parametrized_pipeline,
     search_approx,
     search_exact,
@@ -399,9 +400,20 @@ class TestBalls:
         for p, N in ((BlockVector.make(2, "signed", {0: 2, 2: -1}), 4),
                      (BlockVector.make(1, "signed", {1: -1}), 5),
                      (BlockVector.make(2, "unsigned", {0: 1, 1: 2}), 3)):
-            walked = sorted(S.iter_vector_ball(p, N, radius),
-                            key=BlockVector.sort_key)
-            assert walked == vector_ball(p, N, radius)
+            assert list(S.iter_vector_ball(p, N, radius)) == \
+                vector_ball(p, N, radius)
+
+    @pytest.mark.parametrize("mode", ["unsigned", "signed"])
+    def test_vector_walker_order_matches_brute_force(self, mode):
+        # order and membership of every member's ball in every universe with
+        # k <= 3 of at most a few hundred cells, against a scan of the
+        # universe that enumerate_universe generates and sorts
+        for k, top in ((1, 5), (2, 4), (3, 3)):
+            for N in range(1, top + 1):
+                universe = enumerate_universe(k, N, mode)
+                for p in universe:
+                    assert list(S.iter_vector_ball(p, N, 1)) == \
+                        [q for q in universe if linf_dist(p, q) <= 1]
 
     def test_recoloured_witness_fails_every_element(self):
         # under a constant colouring no ball holds the other colour, so each
@@ -422,26 +434,42 @@ class TestBalls:
             assert [f["element"] for f in report.failures] == \
                 [e["element"] for e in res.certificate]
 
-    def test_word_feasibility_resumes_its_walk(self, monkeypatch):
-        # a later call that wants more colours walks the ball again, so
-        # every answer equals the whole ball's colours masked by want
-        captured = []
-        dfs = S._dfs
+    def test_feasibility_resumes_its_walk(self):
+        # _dfs over six one-slot candidates, each a list of span elements:
+        # ("want", i) narrows the live colours to wants[i], then x is asked
+        # for them.  The probe ("has", i, c) shows whether colour c survived
+        # x: its ball holds every colour, but colour c only second, so its
+        # walk reads a second member exactly when c is still live.
+        # ("end", i) has an empty ball, so every candidate dead-ends.
+        wants = (1, 2, 4, 7, 3, 7)
+        balls = {"x": (1, 4, 4)}  # colours 0 and 2
+        for i, want in enumerate(wants):
+            balls["want", i] = tuple(1 << c for c in range(3) if want >> c & 1)
+            for c in range(3):
+                balls["has", i, c] = (7 & ~(1 << c), 1 << c)
+            balls["end", i] = ()
+        walks, reads = collections.Counter(), collections.Counter()
 
-        def capture(m, candidates, pieces, feasible, r):
-            captured.append(feasible)
-            return dfs(m, candidates, pieces, feasible, r)
+        def ball(value):
+            walks[value] += 1
+            for bit in balls[value]:
+                reads[value] += 1
+                yield bit
 
-        monkeypatch.setattr(S, "_dfs", capture)
-        c = Colouring.seeded(2, 3, arity="word")
-        search_ghj(AB, 1, "signed", 3, c, (1, 2), radius=1)
-        feasible, = captured
-        for x in S.word_candidates(AB, 1, "signed", 3):
-            ball = 0
-            for y in word_ball(x, 1):
-                ball |= 1 << c(y)
-            for want in (1, 2, 4, 7, 3, 7):
-                assert feasible(x.symbols, want) == ball & want
+        def pieces(slot, i):
+            return [(("want", i), 0), ("x", 0),
+                    *((("has", i, c), 0) for c in range(3)), (("end", i), 0)]
+
+        res = S._dfs(1, lambda prefix: range(len(wants)), pieces, ball, 3)
+        assert res == Exhausted(6, 6)
+        answers = [sum(1 << c for c in range(3) if reads["has", i, c] == 2)
+                   for i in range(len(wants))]
+        assert answers == [0b101 & want for want in wants]
+        # x's first walk stops at colour 0; wanting colour 1 walks its whole
+        # ball, and no later visit walks it again; every other ball is
+        # walked once
+        assert walks.pop("x") == 2 and reads["x"] == 1 + 3
+        assert set(walks.values()) == {1}
 
     def test_word_search_colours_only_what_it_needs(self, monkeypatch):
         # the search stops each ball walk once every live colour is seen, so
@@ -753,6 +781,28 @@ class TestValidation:
             assert report.passed
             blank = dataclasses.replace(res, certificate=())
             assert verify_witness(blank, c) == report
+
+    def test_verify_rejects_a_header_that_disagrees_with_the_body(self):
+        # the mode, radius and k=3 cases once passed verification
+        import dataclasses
+        vec = Colouring.family("support-size-mod", 2)
+        wrd = Colouring.family("value-at-min-support", 2, arity="word")
+        exact = search_exact(SearchProblem("unsigned", 1, 2, 4, 2), vec)
+        word = search_ghj(AB, 1, "unsigned", 2, wrd, (1,))
+        assert verify_witness(exact, vec).passed
+        assert verify_witness(word, wrd).passed
+        cases = [
+            (exact, vec, dict(mode="signed", radius=1), 'mode "signed"'),
+            (exact, vec, dict(k=2), "k=2"),
+            (exact, vec, dict(colour=2), r"colour 2 lies outside \[0, 2\)"),
+            (exact, vec, dict(colour=-1), r"colour -1 lies outside \[0, 2\)"),
+            (word, wrd, dict(k=3, lengths=(7, 9)), "k=3"),
+            (word, wrd, dict(mode="signed"), 'mode "signed"'),
+            (word, wrd, dict(lengths=(7, 9)), r"lengths \[7, 9\]"),
+        ]
+        for res, c, edits, message in cases:
+            with pytest.raises(ValueError, match=message):
+                verify_witness(dataclasses.replace(res, **edits), c)
 
     def test_problem_validation(self):
         with pytest.raises(ValueError):
