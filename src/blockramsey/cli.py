@@ -67,6 +67,16 @@ def _lengths_from_arg(value: str) -> tuple[int, ...]:
                          f"{json.dumps(value)}") from None
 
 
+def _sigmas_from_arg(value: str) -> list:
+    """The letters of --sigmas: a JSON list of lists of integer 0/1 bits."""
+    data = _load_json(value)
+    if not (isinstance(data, list) and all(isinstance(bits, list) and all(
+            V._is_int(b) and b in (0, 1) for b in bits) for bits in data)):
+        raise ValueError(f"--sigmas must be a JSON list of lists of 0/1 "
+                         f"integer bits, not {json.dumps(data)}")
+    return [E.bit_letter(bits) for bits in data]
+
+
 def _table_from_file(path: str) -> tuple[dict, int | None]:
     """The mapping and default of a colour table file: a JSON object whose
     "mapping" maps element keys to integer colours, with an optional
@@ -176,8 +186,7 @@ def _cmd_decode(args) -> int:
         if theirs != ours:
             raise ValueError(f"decode --blocks has {field} {json.dumps(theirs)} "
                              f"but the base sequence has {field} {json.dumps(ours)}")
-    sigmas = [E.bit_letter(s) for s in _load_json(args.sigmas)]
-    Z = E.decode_witness(Y, A, sigmas)
+    Z = E.decode_witness(Y, A, _sigmas_from_arg(args.sigmas))
     _emit({"words": Z.to_list()})
     return EXIT_OK
 

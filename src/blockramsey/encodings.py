@@ -23,7 +23,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .vectors import UNSIGNED, BlockSequence, BlockVector, _block_image
+from .vectors import (MAX_UNIVERSE_CELLS, UNSIGNED, BlockSequence, BlockVector,
+                      _block_image)
 from .words import (
     Alphabet,
     Decomposition,
@@ -68,7 +69,12 @@ def _set_bits(token, cols: int) -> list[int]:
 
 
 def bitstring_alphabet(max_level: int) -> Alphabet:
-    """Levels of all canonical bitstrings supported within [0, n], n <= max_level."""
+    """Levels of all canonical bitstrings supported within [0, n], n <= max_level.
+    Level n has 2^(n+1) letters; a top level of more than MAX_UNIVERSE_CELLS
+    letters is refused before any letter is built."""
+    if max_level + 1 >= MAX_UNIVERSE_CELLS.bit_length():  # 2^(n+1) > cap
+        raise ValueError(f"bitstring level {max_level} has 2^{max_level + 1} letters, "
+                         f"over the cap of {MAX_UNIVERSE_CELLS}; lower the level")
     levels = []
     for n in range(max_level + 1):
         level = {()}
@@ -141,23 +147,16 @@ def psi_encode(X: VarWordSequence, cols: Optional[int] = None) -> ParamMatrix:
     """Row n holds the bits of the letter at global position n; variables give zeros."""
     if cols is None:
         cols = default_cols(X)
-    bits = set()
-    n = 0
-    for w in X.words:
-        for sym in w.symbols:
-            if isinstance(sym, Letter):
-                bits.update((n, i) for i in _set_bits(sym.token, cols))
-            n += 1
-    return ParamMatrix(n, cols, frozenset(bits))
+    symbols = [sym for w in X.words for sym in w.symbols]
+    return ParamMatrix(len(symbols), cols, frozenset(
+        (n, i) for n, sym in enumerate(symbols) if isinstance(sym, Letter)
+        for i in _set_bits(sym.token, cols)))
 
 
 def derive_B(Y: VarWordSequence) -> BlockSequence:
     """Block per odd-indexed word, offset by the lengths of all earlier words."""
     _check_pairs(Y)
-    lens = [len(w) for w in Y.words]
-    return BlockSequence(tuple(
-        BlockVector(Y.k, Y.mode, _var_entries(Y.words[m], sum(lens[:m])))
-        for m in range(1, len(Y), 2)))
+    return BlockSequence(phi_encode(Y).blocks[1::2])
 
 
 @dataclass(frozen=True)

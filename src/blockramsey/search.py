@@ -46,6 +46,7 @@ from .encodings import (
 )
 from .sampling import random_satisfying_string, random_span_element
 from .vectors import (
+    MAX_UNIVERSE_CELLS,
     MODES,
     SIGNED,
     UNSIGNED,
@@ -55,6 +56,7 @@ from .vectors import (
     _is_int,
     json_field,
     linf_dist,
+    span_step,
 )
 from .words import Alphabet, Letter, Var, VarWordSequence, Word, classify
 
@@ -268,9 +270,6 @@ class Exhausted:
                 "dead_ends": self.dead_ends}
 
 
-MAX_UNIVERSE_CELLS = 10**6
-
-
 def _coordinate_values(k: int, N: int, mode: str) -> range:
     """The values one coordinate of the universe takes.
 
@@ -348,7 +347,6 @@ def iter_word_ball(x: Word, radius: int):
     if radius == 0:
         yield x
         return
-    k = x.k
     zero = x.alphabet.zero
     fixed = W._letter_positions(x)
     choices = []
@@ -356,16 +354,13 @@ def iter_word_ball(x: Word, radius: int):
         if n in fixed:
             choices.append([sym])
             continue
+        # options in symbol_key order (the zero letter, then variables by
+        # index) make the product come out in Word.sort_key order
         idx = W._symbol_index(sym, zero)
-        opts = []
-        for i in range(idx - radius, idx + radius + 1):
-            if i == 0:
-                opts.append(Letter(zero))
-            elif abs(i) <= k:
-                opts.append(Var(i))
-        # sorted options make the product come out in Word.sort_key order
-        choices.append(sorted(opts, key=W.symbol_key))
-    yield from _full_class_words(k, x.mode, x.alphabet, choices)
+        window = range(idx - radius, idx + radius + 1)
+        choices.append([Letter(zero)] * (0 in window) +
+                       [Var(i) for i in window if i and abs(i) <= x.k])
+    yield from _full_class_words(x.k, x.mode, x.alphabet, choices)
 
 
 def _full_class_words(k: int, mode: str, alphabet: Alphabet, choices):
@@ -507,12 +502,11 @@ def _dfs(m: int, candidates: Callable, pieces: Callable, ball: Callable,
 
     `candidates(prefix)` lists the next slot's candidates in canonical
     order, and `pieces(slot, cand)` a candidate's distinct span pieces as
-    (value, exponent) pairs.  An element of a prefix's span takes one piece
-    from each slot of a nonempty set of slots: values add (integer codes,
-    or symbol tuples that concatenate) and exponents take their minimum,
-    so exponent 0 marks a span element.  `ball(value)` yields one colour
-    bit (1 << c, or 0 for a vector cell outside the universe) per member
-    of a span element's ball.
+    (value, exponent) pairs.  A candidate adds to its prefix's span the
+    elements `span_step` makes from its pieces (values are integer codes
+    or symbol tuples), and exponent 0 marks a span element.  `ball(value)`
+    yields one colour bit (1 << c, or 0 for a vector cell outside the
+    universe) per member of a span element's ball.
 
     The search keeps, per element, the colour bits seen and a mark once its
     whole ball was seen.  A walk stops once every colour still alive is
@@ -533,11 +527,7 @@ def _dfs(m: int, candidates: Callable, pieces: Callable, ball: Callable,
         slot = len(prefix)
         for cand in candidates(prefix):
             nodes += 1
-            fresh = []
-            for value, exp in pieces(slot, cand):
-                fresh.append((value, exp))
-                for v, e in span:
-                    fresh.append((v + value, min(e, exp)))
+            fresh = span_step(span, pieces(slot, cand))
             colours = want
             for value, exp in fresh:
                 if exp == 0:
@@ -628,13 +618,14 @@ def search_approx(problem: SearchProblem, colouring: Colouring):
 
 def _slot_symbols(alphabet: Alphabet, k: int, mode: str,
                   letters: Optional[Iterable] = None) -> list:
-    """The symbols a generator may hold, sorted by symbol_key: the given
-    letters (every letter of the alphabet when None) and the variables."""
-    letters = alphabet.top if letters is None else letters
+    """The symbols a generator may hold in symbol_key order: the given
+    letters (every letter of the alphabet when None), then the variables
+    by index."""
+    letters = sorted(alphabet.top if letters is None else letters,
+                     key=W.letter_key)
     indices = range(1, k + 1) if mode == UNSIGNED else \
         [i for i in range(-k, k + 1) if i != 0]
-    symbols = [Letter(t) for t in letters] + [Var(i) for i in indices]
-    return sorted(symbols, key=W.symbol_key)
+    return [Letter(t) for t in letters] + [Var(i) for i in indices]
 
 
 def word_candidates(alphabet: Alphabet, k: int, mode: str, length: int,
@@ -935,10 +926,8 @@ def parametrized_pipeline(colouring: Colouring, bounds: PipelineBounds):
     lifted = _lift(colouring, cols)
     word_colouring = Colouring.custom(lifted, colouring.r, arity="word",
                                       name="lifted")
-    radius = 0 if bounds.mode == UNSIGNED else 1
     found = search_ghj(alphabet, bounds.k, bounds.mode, colouring.r,
-                       word_colouring, bounds.lengths, radius=radius,
-                       letters=content)
+                       word_colouring, bounds.lengths, letters=content)
     if isinstance(found, Exhausted):
         return found
     Y = found.words
@@ -994,6 +983,9 @@ def witness_from_dict(data: dict) -> Witness:
             blocks=BlockSequence.from_list(data["blocks"]), N=data["N"],
             **common,
         )
+    if not all(map(_is_int, data["lengths"])):
+        raise ValueError("the witness field 'lengths' must be a JSON list of "
+                         "integers")
     alphabet = Alphabet.from_dict(data["alphabet"])
     return Witness(
         words=VarWordSequence.from_list(data["words"], alphabet),

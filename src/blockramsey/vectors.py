@@ -17,7 +17,6 @@ signed vectors to the unit sphere of c_0.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -26,6 +25,10 @@ from typing import Iterable, Mapping, Optional
 UNSIGNED = "unsigned"
 SIGNED = "signed"
 MODES = (UNSIGNED, SIGNED)
+
+# the most cells of a vector universe, or letters of an alphabet level,
+# that the library builds; larger requests are refused before building
+MAX_UNIVERSE_CELLS = 10**6
 
 
 @dataclass(frozen=True)
@@ -227,7 +230,7 @@ def negate(p: BlockVector) -> BlockVector:
     """Flip the sign of every value (signed mode only)."""
     if p.mode != SIGNED:
         raise ValueError("negate requires signed mode")
-    return BlockVector(p.k, p.mode, tuple((n, -v) for n, v in p.entries))
+    return BlockVector(p.k, p.mode, _tetris_entries(p.entries, 0, -1))
 
 
 def _tetris_entries(entries, j: int, sign: int) -> tuple[tuple[int, int], ...]:
@@ -252,20 +255,26 @@ def _block_image(b: BlockVector, piece) -> Optional[tuple[int, int]]:
     return None
 
 
-def span_combinations(slots):
-    """(value, exponent) for one piece from each slot of every nonempty set
-    of slots, in slot order.
+def span_step(span, pieces) -> list:
+    """The (value, exponent) elements taking a piece from one new last slot:
+    each piece alone, then that piece after each element of `span`.  Values
+    add with `+` (codes add, tuples concatenate) and exponents, which count
+    how far a piece sits below full magnitude, take their minimum."""
+    out = []
+    for value, exp in pieces:
+        out.append((value, exp))
+        for v, e in span:
+            out.append((v + value, e if e < exp else exp))
+    return out
 
-    Each slot is a list of (value, exponent) pieces whose values are tuples.
-    Values concatenate and exponents take their minimum, so with a piece's
-    exponent counting how far it sits below full magnitude, exponent 0
-    marks a span element.
-    """
-    for size in range(1, len(slots) + 1):
-        for subset in itertools.combinations(slots, size):
-            for choice in itertools.product(*subset):
-                yield (tuple(itertools.chain.from_iterable(v for v, _ in choice)),
-                       min(e for _, e in choice))
+
+def span_combinations(slots) -> list:
+    """(value, exponent) for one piece from each slot of every nonempty set
+    of slots: the fold of span_step over the slots, in no fixed order."""
+    span = []
+    for pieces in slots:
+        span += span_step(span, pieces)
+    return span
 
 
 def span(P: BlockSequence) -> list[BlockVector]:

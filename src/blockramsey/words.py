@@ -264,16 +264,14 @@ def reflect_word(x: Word) -> Word:
     """Replace each variable v_i by v_{-i} (signed mode only)."""
     if x.mode != SIGNED:
         raise ValueError("reflect_word requires signed mode")
-    out = tuple(Var(-s.index) if isinstance(s, Var) else s for s in x.symbols)
-    return Word(x.k, x.mode, x.alphabet, out)
+    return _map_vars(x, lambda i: Var(-i))
 
 
 def neg_tetris(x: Word, j: int = 1) -> Word:
     """The composite map x -> -T(x), iterated j times: (-T)^j = (-1)^j T^j."""
     if j and x.mode != SIGNED:
         raise ValueError("neg_tetris requires signed mode")
-    y = tetris_power(x, j)
-    return reflect_word(y) if j % 2 else y
+    return eval_segment(x, (-1) ** j, j, None)
 
 
 def _rapid(lengths: Iterable[int]) -> bool:
@@ -511,18 +509,14 @@ def _parse_segment(Y, pos, gen, piece) -> Optional[Segment]:
     for g, p in zip(gen.symbols, piece):
         if isinstance(g, Letter) and g != p:
             return None
-    has_var = any(isinstance(p, Var) for p in piece)
-    if has_var:
-        maxidx = max(abs(p.index) for p in piece if isinstance(p, Var))
+    maxidx = max((abs(p.index) for p in piece if isinstance(p, Var)), default=0)
+    if maxidx:
         j = k - maxidx
         if j < 0:
             return None
-        signs = (1, -1) if Y.mode == SIGNED else (1,)
-        for s in signs:
-            cand = tetris_power(gen, j)
-            if s == -1:
-                cand = reflect_word(cand)
-            if cand.symbols == tuple(piece):
+        cand = tetris_power(gen, j)
+        for s in (1, -1) if Y.mode == SIGNED else (1,):
+            if (cand if s == 1 else reflect_word(cand)).symbols == tuple(piece):
                 return Segment(Y.indices[pos], s, j, None)
         return None
     # variable-free piece: read off a substitution tuple
@@ -575,9 +569,7 @@ def _letter_positions(x: Word) -> dict:
 
 def compatible(x: Word, y: Word) -> bool:
     """Equal length, same nonzero-letter positions, same letters there."""
-    if x.mode != SIGNED or y.mode != SIGNED:
-        raise ValueError("compatibility is defined for signed words")
-    return len(x) == len(y) and _letter_positions(x) == _letter_positions(y)
+    return dist_words(x, y) != float("inf")
 
 
 def _symbol_index(sym, zero) -> int:
@@ -590,10 +582,12 @@ def _symbol_index(sym, zero) -> int:
 
 def dist_words(x: Word, y: Word) -> float:
     """Largest variable-index gap over non-letter positions; infinity if incompatible."""
-    if not compatible(x, y):
+    if x.mode != SIGNED or y.mode != SIGNED:
+        raise ValueError("compatibility is defined for signed words")
+    skip = _letter_positions(x)
+    if len(x) != len(y) or skip != _letter_positions(y):
         return float("inf")
     zero = x.alphabet.zero
-    skip = _letter_positions(x)
     best = 0
     for n in range(len(x)):
         if n in skip:
@@ -676,17 +670,13 @@ def approx_negT(Y: VarWordSequence, x: Word) -> tuple[Word, str]:
     d = parse_support(Y, x)
     if d is None:
         raise ValueError("word is not in the span")
-    if any(s.sign == 1 and s.exponent == 0 and s.lam is None for s in d.segments):
-        return _negT_case1(Y, d), "direct"
-    d = parse_support(Y, reflect_word(x))
-    return _negT_case1(Y, d), "reflected"
-
-
-def _negT_case1(Y: VarWordSequence, d: Decomposition) -> Word:
-    pieces = []
-    lookup = {g: w for g, w in zip(Y.indices, Y.words)}
-    for seg in d.segments:
-        z = eval_segment(lookup[seg.gen_index], seg.sign, seg.exponent, seg.lam)
-        keep = (seg.sign == 1) == (seg.exponent % 2 == 0)
-        pieces.append(z if keep else tetris_word(z))
-    return functools.reduce(concat, pieces)
+    how = "direct"
+    if not any(s.sign == 1 and s.exponent == 0 and s.lam is None
+               for s in d.segments):
+        d, how = parse_support(Y, reflect_word(x)), "reflected"
+    # a variable segment whose sign is not (-1)^j moves one tetris step on,
+    # to the (-T) piece (-1)^(j+1) T^(j+1); its j <= k-1, so j+1 <= k
+    return compose(Y, Decomposition(tuple(
+        Segment(s.gen_index, s.sign, s.exponent + 1, None)
+        if s.lam is None and s.sign != (-1) ** s.exponent else s
+        for s in d.segments))), how

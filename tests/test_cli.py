@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -175,6 +176,45 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == ("error: --lengths must be comma-separated integers, "
                        f"not {value}\n")
+
+    @pytest.mark.parametrize("sigmas", [
+        # the first two once raised TypeError tracebacks, the next three were
+        # read as bit 1, and the last printed "invalid literal for int()"
+        "5", "[5]", '[["1"]]', "[[true]]", "[[1.0]]", '{"a":1}',
+    ])
+    def test_decode_sigmas_that_are_not_bit_lists_is_1(self, capfd, sigmas):
+        code, out, err = run_inproc(capfd, "decode", "--words", PAIR_WORDS,
+                                    "--blocks", '[{"entries":[[2,1]]}]',
+                                    "--sigmas", sigmas)
+        assert code == 1 and out == ""
+        assert err.startswith("error: --sigmas must be a JSON list of lists "
+                              "of 0/1 integer bits")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("lengths", [[True], [1.0]])
+    def test_verify_word_lengths_that_are_not_integers_is_1(
+            self, capfd, tmp_path, lengths):
+        # these once verified as passed, exit 0, since [1] == [True]
+        code, out, _ = run_inproc(capfd, "search", "--kind", "word", "--k", "1",
+                                  "--lengths", "1", "--colours", "1")
+        assert code == 0
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(dict(json.loads(out), lengths=lengths)))
+        code, out, err = run_inproc(capfd, "verify", "--witness", f"@{path}",
+                                    "--colours", "1")
+        assert code == 1 and out == ""
+        assert err == ("error: the witness field 'lengths' must be a JSON "
+                       "list of integers\n")
+
+    def test_pipeline_letter_level_over_cap_is_1(self, capfd):
+        # level 40 has 2^41 letters; building them once ran past 120 s
+        started = time.perf_counter()
+        code, out, err = run_inproc(capfd, "pipeline", "--lengths", "1,2",
+                                    "--letter-level", "40")
+        assert code == 1 and out == ""
+        assert err.startswith("error: bitstring level 40 has 2^41 letters")
+        assert len(err.strip().splitlines()) == 1
+        assert time.perf_counter() - started < 5
 
     @pytest.mark.parametrize("blocks", ['{"entries":5}', '[5]', '[{"entries":5}]'])
     def test_span_malformed_blocks_is_1(self, capfd, blocks):

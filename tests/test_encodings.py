@@ -19,6 +19,7 @@ from blockramsey import (
     product_to_sigmas,
     psi_encode,
 )
+from blockramsey import encodings as E
 from blockramsey.encodings import concat_all, letter_level, substituted_pairs
 from blockramsey.sampling import (
     random_satisfying_string,
@@ -49,6 +50,19 @@ class TestBitLetters:
         assert [len(lv) for lv in ab.levels] == [2, 4, 8]
         assert ab.zero == ()
         assert ab.levels[0] < ab.levels[1] < ab.levels[2]
+
+    def test_alphabet_over_the_cap_fails_before_building(self, monkeypatch):
+        def no_letters(*args, **kwargs):
+            raise AssertionError("a letter was built")
+
+        # level n has 2^(n+1) letters: with a cap of 8, level 2 is the last
+        monkeypatch.setattr(E, "MAX_UNIVERSE_CELLS", 8)
+        assert len(bitstring_alphabet(2).top) == 8
+        monkeypatch.setattr(E.itertools, "product", no_letters)
+        for level in (3, 40, 10**9):
+            with pytest.raises(ValueError, match=f"bitstring level {level} "
+                                                 "has 2\\^"):
+                bitstring_alphabet(level)
 
 
 class TestPhi:

@@ -704,6 +704,16 @@ class TestCertificates:
         assert rebuilt.words == res.words
         assert verify_witness(rebuilt, c).passed
 
+    @pytest.mark.parametrize("lengths", [[True], [1.0], ["1"]])
+    def test_word_witness_lengths_must_be_integers(self, lengths):
+        # [True] and [1.0] once verified as passed: [1] == [True] in Python
+        c = Colouring.seeded(13, 2, arity="word")
+        res = search_ghj(AB, 1, "unsigned", 2, c, (1,))
+        assert isinstance(res, Witness)
+        with pytest.raises(ValueError, match="'lengths' must be a JSON list "
+                                             "of integers"):
+            witness_from_dict(dict(res.to_dict(), lengths=lengths))
+
 
 class TestValidation:
     def test_universe_needs_positions(self):

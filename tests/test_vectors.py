@@ -1,5 +1,6 @@
 """Block-vector algebra: examples, metric laws, spans against brute force."""
 
+import collections
 import itertools
 import math
 import random
@@ -199,10 +200,50 @@ class TestSpan:
         def forbidden(*args, **kwargs):
             raise AssertionError("the oracle called the span code it checks")
 
-        for name in ("span", "span_combinations"):
+        for name in ("span", "span_combinations", "span_step"):
             monkeypatch.setattr(V, name, forbidden)
-        monkeypatch.setattr(S, "_VectorKernel", forbidden)
+        for name in ("_VectorKernel", "span_step"):
+            monkeypatch.setattr(S, name, forbidden)
         assert oracle_span_vectors(seq) == want
+
+    @staticmethod
+    def _subset_products(slots):
+        # the definition: one piece from each slot of every nonempty set of
+        # slots, values added in slot order, exponents at their minimum
+        out = []
+        for size in range(1, len(slots) + 1):
+            for subset in itertools.combinations(slots, size):
+                for choice in itertools.product(*subset):
+                    value = choice[0][0]
+                    for v, _ in choice[1:]:
+                        value = value + v
+                    out.append((value, min(e for _, e in choice)))
+        return out
+
+    @pytest.mark.parametrize("kind", ["int", "tuple"])
+    def test_span_combinations_is_the_subset_product(self, kind):
+        rng = random.Random(kind)
+        # a slot repeating a piece, and two slots holding the same values
+        cases = [[[(1, 0), (1, 0)], [(1, 1), (2, 0)], [(1, 1), (2, 0)]]]
+        for _ in range(40):
+            # values from a small range, so they repeat within and across slots
+            cases.append([[(rng.randint(-2, 2), rng.randint(0, 2))
+                           for _ in range(rng.randint(0, 3))]
+                          for _ in range(rng.randint(0, 4))])
+        for slots in cases:
+            if kind == "tuple":
+                slots = [[((v,) * (1 + abs(v) % 2), e) for v, e in pieces]
+                         for pieces in slots]
+            want = collections.Counter(self._subset_products(slots))
+            assert collections.Counter(V.span_combinations(slots)) == want
+
+    def test_span_step_order(self):
+        # each piece alone, then that piece after each element of the span
+        span = [((1,), 1), ((2,), 0)]
+        assert V.span_step(span, [((3,), 0), ((4,), 2)]) == [
+            ((3,), 0), ((1, 3), 0), ((2, 3), 0),
+            ((4,), 2), ((1, 4), 1), ((2, 4), 0)]
+        assert V.span_step([(5, 2)], [(-5, 1)]) == [(-5, 1), (0, 1)]
 
     def test_span_canonical_order(self):
         out = span(BlockSequence((s(1, {0: 1}), s(1, {1: 1}))))
