@@ -55,8 +55,10 @@ def _alphabet_from_arg(value) -> W.Alphabet:
     return W.Alphabet.from_dict(_load_json(value))
 
 
-def _words_from_arg(value, alphabet) -> W.VarWordSequence:
-    return W.VarWordSequence.from_list(_load_json(value), alphabet)
+def _words_from_args(args) -> W.VarWordSequence:
+    """The --words sequence over the --alphabet alphabet."""
+    alphabet = _alphabet_from_arg(args.alphabet)
+    return W.VarWordSequence.from_list(_load_json(args.words), alphabet)
 
 
 def _lengths_from_arg(value: str) -> tuple[int, ...]:
@@ -97,10 +99,10 @@ def _table_from_file(path: str) -> tuple[dict, int | None]:
 
 def _colouring_from_args(args, arity: str) -> Colouring:
     r = args.colours
-    if getattr(args, "table", None):
+    if args.table:
         mapping, default = _table_from_file(args.table)
         return Colouring.table(mapping, r, arity, default=default)
-    if getattr(args, "family", None):
+    if args.family:
         return Colouring.family(args.family, r, arity)
     return Colouring.seeded(args.seed, r, arity)
 
@@ -118,14 +120,9 @@ def _cmd_span(args) -> int:
     elif args.mode is not None or args.k is not None:
         raise ValueError(f"span --kind {args.kind} takes its mode and k from --words")
     else:
-        alphabet = _alphabet_from_arg(args.alphabet)
-        seq = _words_from_arg(args.words, alphabet)
-        if args.kind == "words":
-            out = [w.to_dict() for w in W.span_words(seq)]
-        elif args.kind == "letters":
-            out = [w.to_dict() for w in W.span_letters(seq)]
-        else:
-            out = [w.to_dict() for w in W.span_negT(seq)]
+        spans = {"words": W.span_words, "letters": W.span_letters,
+                 "neg-t": W.span_negT}
+        out = [w.to_dict() for w in spans[args.kind](_words_from_args(args))]
     if args.limit is not None:
         out = out[: args.limit]
     for item in out:
@@ -134,24 +131,13 @@ def _cmd_span(args) -> int:
 
 
 def _cmd_dist(args) -> int:
-    if args.kind == "vector":
-        a = V.BlockVector.from_dict(_load_json(args.a))
-        b = V.BlockVector.from_dict(_load_json(args.b))
-        d = V.linf_dist(a, b)
-    elif args.kind == "vector-seq":
-        a = V.BlockSequence.from_list(_load_json(args.a))
-        b = V.BlockSequence.from_list(_load_json(args.b))
-        d = V.seq_dist(a, b)
-    else:
-        alphabet = _alphabet_from_arg(args.alphabet)
-        if args.kind == "word":
-            a = W.Word.from_dict(_load_json(args.a), alphabet)
-            b = W.Word.from_dict(_load_json(args.b), alphabet)
-            d = W.dist_words(a, b)
-        else:
-            a = _words_from_arg(args.a, alphabet)
-            b = _words_from_arg(args.b, alphabet)
-            d = W.dist_seqs(a, b)
+    load, dist = {"vector": (V.BlockVector.from_dict, V.linf_dist),
+                  "vector-seq": (V.BlockSequence.from_list, V.seq_dist),
+                  "word": (W.Word.from_dict, W.dist_words),
+                  "word-seq": (W.VarWordSequence.from_list, W.dist_seqs)}[args.kind]
+    if args.kind.startswith("word"):
+        load = functools.partial(load, alphabet=_alphabet_from_arg(args.alphabet))
+    d = dist(load(_load_json(args.a)), load(_load_json(args.b)))
     _emit({"dist": "infinity" if d == float("inf") else int(d)})
     return EXIT_OK
 
@@ -168,8 +154,7 @@ def _cmd_tetris(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    alphabet = _alphabet_from_arg(args.alphabet)
-    seq = _words_from_arg(args.words, alphabet)
+    seq = _words_from_args(args)
     _emit({
         "phi": E.phi_encode(seq).to_list(),
         "psi": E.psi_encode(seq, args.cols).to_dict(),
@@ -178,8 +163,7 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    alphabet = _alphabet_from_arg(args.alphabet)
-    Y = _words_from_arg(args.words, alphabet)
+    Y = _words_from_args(args)
     A = _blocks_from_arg(_load_json(args.blocks), Y.k, Y.mode)
     for field in ("k", "mode"):
         theirs, ours = getattr(A, field), getattr(Y, field)
@@ -192,15 +176,13 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_derive_b(args) -> int:
-    alphabet = _alphabet_from_arg(args.alphabet)
-    Y = _words_from_arg(args.words, alphabet)
+    Y = _words_from_args(args)
     _emit(E.derive_B(Y).to_list())
     return EXIT_OK
 
 
 def _cmd_perfect_sets(args) -> int:
-    alphabet = _alphabet_from_arg(args.alphabet)
-    Y = _words_from_arg(args.words, alphabet)
+    Y = _words_from_args(args)
     if args.index is None:
         descs = E.derived_pair(Y, args.cols).perfect_sets
     else:
@@ -392,6 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
                        default=V.UNSIGNED)
         p.add_argument("--k", type=int, default=1)
 
+    def add_colouring(p):
+        p.add_argument("--colours", type=int, default=2)
+        p.add_argument("--family", choices=S.FAMILIES)
+        p.add_argument("--table", help="JSON file with a colour table")
+        p.add_argument("--seed", type=int, default=0)
+
     p = command("span", help="enumerate a span, one JSON element per line")
     add_common(p)
     # None marks an option left out: word kinds refuse the two, vectors
@@ -446,32 +434,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("search", help="find a monochromatic-span witness")
     add_common(p)
+    add_colouring(p)
     p.add_argument("--kind", choices=("vector", "word"), default="vector")
     p.add_argument("--N", type=int, default=4)
     p.add_argument("--m", type=int, default=2)
-    p.add_argument("--colours", type=int, default=2)
     p.add_argument("--radius", type=int, default=0, choices=(0, 1))
-    p.add_argument("--family", choices=S.FAMILIES)
-    p.add_argument("--table", help="JSON file with a colour table")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lengths", default="1,2", help="word search: exact lengths")
     p.add_argument("--alphabet")
     p.set_defaults(func=_cmd_search)
 
     p = command("verify", help="re-check a witness independently")
     p.add_argument("--witness", required=True)
-    p.add_argument("--colours", type=int, default=2)
-    p.add_argument("--family", choices=S.FAMILIES)
-    p.add_argument("--table")
-    p.add_argument("--seed", type=int, default=0)
+    add_colouring(p)
     p.set_defaults(func=_cmd_verify)
 
     p = command("pipeline", help="derived pair from a lifted colouring")
     add_common(p)
-    p.add_argument("--colours", type=int, default=2)
-    p.add_argument("--family", choices=S.FAMILIES)
-    p.add_argument("--table")
-    p.add_argument("--seed", type=int, default=0)
+    add_colouring(p)
     p.add_argument("--lengths", default="2,3")
     p.add_argument("--letter-level", type=int, default=0)
     p.add_argument("--samples", type=int, default=32)

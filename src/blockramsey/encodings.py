@@ -181,17 +181,20 @@ class PerfectSetDescription:
             return False
         return all(len({bits[n] for n in cls}) == 1 for cls in self.classes)
 
+    def fill(self, free_bits: Sequence[int]) -> tuple:
+        """The satisfying 0/1 tuple with free_bits[c] on every position of
+        class c, and the forced bits elsewhere."""
+        bits = [0] * self.length
+        for n, b in self.forced:
+            bits[n] = b
+        for cls, bit in zip(self.classes, free_bits):
+            for n in cls:
+                bits[n] = bit
+        return tuple(bits)
+
     def strings(self):
         """All satisfying 0/1 tuples of the ambient length, lexicographic."""
-        base = [0] * self.length
-        for n, b in self.forced:
-            base[n] = b
-        for choice in itertools.product((0, 1), repeat=len(self.classes)):
-            out = list(base)
-            for cls, bit in zip(self.classes, choice):
-                for n in cls:
-                    out[n] = bit
-            yield tuple(out)
+        return map(self.fill, itertools.product((0, 1), repeat=len(self.classes)))
 
     def count(self) -> int:
         return 2 ** len(self.classes)

@@ -75,12 +75,6 @@ def random_span_element(rng: random.Random, B: BlockSequence) -> BlockVector:
 
 
 def random_satisfying_string(rng: random.Random, desc) -> tuple:
-    """Random string meeting a perfect-set constraint record."""
-    bits = [0] * desc.length
-    for n, b in desc.forced:
-        bits[n] = b
-    for cls in desc.classes:
-        bit = rng.randrange(2)
-        for n in cls:
-            bits[n] = bit
-    return tuple(bits)
+    """Random string meeting a perfect-set constraint record: one
+    rng.randrange(2) per class, in class order."""
+    return desc.fill([rng.randrange(2) for _ in desc.classes])

@@ -24,10 +24,12 @@ and samples the derived product to confirm the colour guarantee.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import functools
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
@@ -54,9 +56,11 @@ from .vectors import (
     BlockVector,
     _block_image,
     _is_int,
+    check_cap,
     json_field,
     linf_dist,
     span_step,
+    tetris_images,
 )
 from .words import Alphabet, Letter, Var, VarWordSequence, Word, classify
 
@@ -101,54 +105,50 @@ def element_key(elem) -> str:
 
 
 def _family_fn(name: str, r: int, arity: str) -> Callable:
-    def profile(*elem):
-        if arity == "vector":
-            return elem[0].entries
-        if arity == "word":
-            return W._var_entries(elem[0])
-        return elem[0].blocks[0].entries
-
-    if name == "value-at-min-support":
+    # the (position, value) entries a rule reads, picked once per colouring;
+    # an unknown arity gets None here and is refused by Colouring
+    profile = {"vector": lambda p: p.entries, "word": W._var_entries,
+               "vector_matrix": lambda seq, matrix: seq.blocks[0].entries
+               }.get(arity)
+    if name in ("min-position-mod", "value-at-min-support"):
+        field = 0 if name == "min-position-mod" else 1  # of the first entry
         def fn(*elem):
             prof = profile(*elem)
-            return (prof[0][1] if prof else 0) % r
+            return (prof[0][field] if prof else 0) % r
+    elif name == "support-size-mod" and arity == "vector_matrix":
+        def fn(seq, matrix):
+            return len(seq.blocks) % r
     elif name == "support-size-mod":
         def fn(*elem):
-            if arity == "vector_matrix":
-                return len(elem[0].blocks) % r
             return len(profile(*elem)) % r
-    elif name == "min-position-mod":
-        def fn(*elem):
-            prof = profile(*elem)
-            return (prof[0][0] if prof else 0) % r
+    elif name == "weighted-sum-mod" and arity == "vector_matrix":
+        def fn(seq, matrix):
+            return (sum((n + 1) * v for n, v in profile(seq, matrix)) +
+                    sum((n + 1) * (i + 1) for n, i in matrix.bits)) % r
     elif name == "weighted-sum-mod":
         def fn(*elem):
-            total = sum((n + 1) * v for n, v in profile(*elem))
-            if arity == "vector_matrix":
-                total += sum((n + 1) * (i + 1) for n, i in elem[1].bits)
-            return total % r
+            return sum((n + 1) * v for n, v in profile(*elem)) % r
     else:
         raise ValueError(f"unknown family {name!r}; choose from {FAMILIES}")
     return fn
 
 
 class Colouring:
-    """Total colour oracle with colours in [0, r)."""
+    """Total colour oracle with colours in [0, r); `rule` names it in witnesses."""
 
-    def __init__(self, arity: str, r: int, spec: dict, fn: Callable):
+    def __init__(self, arity: str, r: int, rule: str, fn: Callable):
         if arity not in ("vector", "word", "vector_matrix"):
             raise ValueError(f"unknown arity {arity!r}")
         if r < 1:
             raise ValueError("need at least one colour")
         self.arity = arity
         self.r = r
-        self.spec = spec
+        self.rule = rule
         self.fn = fn
 
     @classmethod
     def family(cls, name: str, r: int, arity: str = "vector") -> "Colouring":
-        return cls(arity, r, {"kind": "family", "name": name},
-                   _family_fn(name, r, arity))
+        return cls(arity, r, f"family:{name}", _family_fn(name, r, arity))
 
     @classmethod
     def table(cls, mapping: dict, r: int, arity: str = "vector",
@@ -161,8 +161,7 @@ class Colouring:
                 raise KeyError(f"no colour for {key}")
             return default
 
-        return cls(arity, r, {"kind": "table", "mapping": dict(mapping),
-                              "default": default}, fn)
+        return cls(arity, r, "table", fn)
 
     @classmethod
     def seeded(cls, seed: int, r: int, arity: str = "vector") -> "Colouring":
@@ -172,12 +171,12 @@ class Colouring:
             key = element_key(elem[0] if len(elem) == 1 else elem)
             return _splitmix64(_fnv1a(key.encode()) ^ (seed & 0xFFFFFFFFFFFFFFFF)) % r
 
-        return cls(arity, r, {"kind": "seeded", "seed": seed}, fn)
+        return cls(arity, r, f"seeded:{seed}", fn)
 
     @classmethod
     def custom(cls, fn: Callable, r: int, arity: str = "vector",
                name: str = "custom") -> "Colouring":
-        return cls(arity, r, {"kind": "custom", "name": name}, fn)
+        return cls(arity, r, f"custom:{name}", fn)
 
     def __call__(self, *elem) -> int:
         c = self.fn(*elem)
@@ -189,14 +188,7 @@ class Colouring:
         return c
 
     def rule_name(self) -> str:
-        kind = self.spec["kind"]
-        if kind == "family":
-            return f"family:{self.spec['name']}"
-        if kind == "seeded":
-            return f"seeded:{self.spec['seed']}"
-        if kind == "custom":
-            return f"custom:{self.spec['name']}"
-        return kind
+        return self.rule
 
 
 def _check_colours(colouring: Colouring, r: int, what: str):
@@ -405,6 +397,9 @@ class _VectorKernel:
         self.lo, self.B = values.start, len(values)
         self.powers = [self.B ** n for n in range(problem.N)]
         self.base = -self.lo * sum(self.powers)
+        # least[n]: the least |code| whose last nonzero position is n, with
+        # one at n and the lowest value at every position below
+        self.least = [p + self.lo * (p - 1) // (self.B - 1) for p in self.powers]
         self.colouring = colouring
         self.radius = problem.radius
         # Built bottom-up over the min support s: `every` codes the vectors
@@ -434,12 +429,12 @@ class _VectorKernel:
 
     def decode(self, code: int) -> tuple[tuple[int, int], ...]:
         """The (position, value) entries of the vector with this code."""
-        cell = code + self.base
+        cell, B, lo = code + self.base, self.B, self.lo
         entries = []
         for n in range(len(self.powers)):
-            cell, digit = divmod(cell, self.B)
-            if digit + self.lo:
-                entries.append((n, digit + self.lo))
+            cell, digit = divmod(cell, B)
+            if digit + lo:
+                entries.append((n, digit + lo))
         return tuple(entries)
 
     def vector(self, code: int) -> BlockVector:
@@ -451,7 +446,7 @@ class _VectorKernel:
         block's max support."""
         if not prefix:
             return range(len(self.codes))
-        reach = self.decode(self.codes[prefix[-1]])[-1][0]
+        reach = bisect.bisect_right(self.least, abs(self.codes[prefix[-1]])) - 1
         return range(self.starts[reach + 1], len(self.codes))
 
     def _bits(self, code: int) -> int:
@@ -474,25 +469,23 @@ class _VectorKernel:
             cells = map(code.__add__, map(sum, itertools.product(*shifts)))
         return map(self._bits, cells)
 
+    def code(self, entries) -> int:
+        """The code of the vector with these (position, value) entries."""
+        code, powers = 0, self.powers
+        for n, v in entries:
+            code += v * powers[n]
+        return code
+
     def colour_bit(self, p: BlockVector) -> int:
         """The colour bit of a universe member's cell."""
-        return self._bits(sum(v * self.powers[n] for n, v in p.entries))
+        return self._bits(self.code(p.entries))
 
     def variants(self, ci: int) -> list[tuple[int, int]]:
-        """(code, tetris exponent) of every signed tetris image of a block,
-        computed from the digits of its code."""
+        """(code, tetris exponent) of every signed tetris image of a block."""
         out = self._variants.get(ci)
         if out is None:
-            code = self.codes[ci]
-            signs = (1, -1) if self.mode == SIGNED else (1,)
-            out = [(s * code, 0) for s in signs]
-            if self.k > 1:
-                entries = self.decode(code)
-                for j in range(1, self.k):
-                    image = sum((v - j if v > 0 else v + j) * self.powers[n]
-                                for n, v in entries if abs(v) > j)
-                    out += [(s * image, j) for s in signs]
-            self._variants[ci] = out
+            images = tetris_images(self.decode(self.codes[ci]), self.k, self.mode)
+            out = self._variants[ci] = [(self.code(e), j) for e, j in images]
         return out
 
 
@@ -698,7 +691,10 @@ def search_ghj(alphabet: Alphabet, k: int, mode: str, r: int,
 def _slice_products(slices):
     """The concatenation of one piece from each slice of every nonempty set
     of slices, in slice order.  Only the two generate-then-filter oracles
-    use this loop, so they share none with the spans they check."""
+    use this loop, so they share none with the spans they check.  Refuses
+    more than MAX_UNIVERSE_CELLS products before making any."""
+    check_cap(math.prod(len(pieces) + 1 for pieces in slices) - 1,
+              "oracle span products")
     for size in range(1, len(slices) + 1):
         for subset in itertools.combinations(slices, size):
             for pieces in itertools.product(*subset):
@@ -714,9 +710,12 @@ def oracle_span_vectors(blocks: BlockSequence) -> list[BlockVector]:
     multiplied out per set of blocks, and a product is kept when it attains
     magnitude k, that is when some piece has exponent 0.  Independent of
     the combination enumeration used by span() and of the search kernel.
+    Refuses more than MAX_UNIVERSE_CELLS tries before trying any.
     """
     k, mode = blocks.k, blocks.mode
     values = range(0, k + 1) if mode == UNSIGNED else range(-k, k + 1)
+    check_cap(sum(len(values) ** len(b.entries) for b in blocks),
+              "oracle pieces to try")
     slices = []
     for b in blocks:
         pieces = (tuple((n, v) for (n, _), v in zip(b.entries, combo) if v)
@@ -738,12 +737,15 @@ def oracle_span_words(Y: VarWordSequence) -> list[Word]:
     `_parse_segment` accepts it, graded by the generator's global index;
     the kept pieces are multiplied out per subset and filtered by class.
     Independent of the slot pieces and the combination loop used by
-    span_words().
+    span_words().  Refuses more than MAX_UNIVERSE_CELLS tries before trying
+    any.
     """
     letters = sorted(Y.alphabet.top, key=W.letter_key)
     indices = range(1, Y.k + 1) if Y.mode == UNSIGNED else \
         [i for i in range(-Y.k, Y.k + 1) if i != 0]
     symbols = [Letter(t) for t in letters] + [Var(i) for i in indices]
+    check_cap(sum(len(symbols) ** len(gen) for gen in Y.words),
+              "oracle pieces to try")
     slices = [
         [piece for piece in itertools.product(symbols, repeat=len(gen))
          if W._parse_segment(Y, pos, gen, piece) is not None]
@@ -782,8 +784,10 @@ def verify_witness(witness: Witness, colouring: Colouring) -> VerifyReport:
     unknown, whose radius is not 0 or 1, or whose radius is 1 outside signed
     mode; a colouring with another number of colours than the witness; a
     colour outside [0, r); a k or mode other than the blocks' or words'; a
-    vector witness with a block position outside [0, N); or word lengths
-    other than `lengths`.
+    vector witness with a block position outside [0, N); word lengths
+    other than `lengths`; or a witness whose independent span would take
+    more than MAX_UNIVERSE_CELLS candidate pieces (summed over its blocks or
+    generators) or piece products to enumerate, refused before any is made.
     """
     if witness.mode not in MODES:
         raise ValueError(f"unknown witness mode {json.dumps(witness.mode)}")
@@ -877,13 +881,12 @@ class PipelineResult:
         return not self.failures
 
 
-def _check_sample(Y: VarWordSequence, pair: DerivedPair, cols: int,
-                  a: BlockVector, deltas: tuple, mode: str,
+def _check_sample(pair: DerivedPair, a: BlockVector, deltas: tuple,
                   lifted: Callable[[Word], int], colour: int) -> Optional[dict]:
     """Decode one point (a, deltas) of the derived product back to a word and
     check it; the failure record, or None when the point passes."""
-    sigmas = product_to_sigmas(Y, deltas)
-    Z = decode_witness(Y, BlockSequence((a,)), sigmas)
+    Y, cols = pair.source, len(deltas)
+    Z = decode_witness(Y, BlockSequence((a,)), product_to_sigmas(Y, deltas))
     z = Z.words[0]
     assembled = ParamMatrix(
         pair.perfect_sets[0].length, cols,
@@ -894,7 +897,7 @@ def _check_sample(Y: VarWordSequence, pair: DerivedPair, cols: int,
         return {"sample": a.to_dict(), "reason": "vector encode mismatch"}
     if psi_encode(Z, cols) != assembled:
         return {"sample": a.to_dict(), "reason": "matrix encode mismatch"}
-    if mode == UNSIGNED:
+    if Y.mode == UNSIGNED:
         if lifted(z) != colour:
             return {"sample": a.to_dict(), "reason": "colour mismatch"}
         return None
@@ -930,8 +933,7 @@ def parametrized_pipeline(colouring: Colouring, bounds: PipelineBounds):
                        word_colouring, bounds.lengths, letters=content)
     if isinstance(found, Exhausted):
         return found
-    Y = found.words
-    pair = derived_pair(Y, cols)
+    pair = derived_pair(found.words, cols)
     rng = random.Random(bounds.seed)
     failures = []
     checked = {}
@@ -940,8 +942,8 @@ def parametrized_pipeline(colouring: Colouring, bounds: PipelineBounds):
         deltas = tuple(random_satisfying_string(rng, desc)
                        for desc in pair.perfect_sets)
         if (a, deltas) not in checked:
-            checked[a, deltas] = _check_sample(Y, pair, cols, a, deltas,
-                                               bounds.mode, lifted, found.colour)
+            checked[a, deltas] = _check_sample(pair, a, deltas, lifted,
+                                               found.colour)
         failure = checked[a, deltas]
         if failure is not None:
             failures.append(failure)

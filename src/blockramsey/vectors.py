@@ -31,6 +31,12 @@ MODES = (UNSIGNED, SIGNED)
 MAX_UNIVERSE_CELLS = 10**6
 
 
+def check_cap(count: int, what: str) -> None:
+    """Refuse, in one line, a request to make `count` > MAX_UNIVERSE_CELLS things."""
+    if count > MAX_UNIVERSE_CELLS:
+        raise ValueError(f"{count} {what} exceed the cap of {MAX_UNIVERSE_CELLS}")
+
+
 @dataclass(frozen=True)
 class BlockVector:
     """Sparse vector with magnitude bound k, stored as ordered (position, value) pairs."""
@@ -235,12 +241,21 @@ def negate(p: BlockVector) -> BlockVector:
 
 def _tetris_entries(entries, j: int, sign: int) -> tuple[tuple[int, int], ...]:
     # raw helper: apply T j times and an overall sign, dropping zeros
+    if not j and sign == 1:
+        return tuple(entries)
     out = []
     for n, v in entries:
         m = abs(v) - j
         if m > 0:
             out.append((n, sign * m if v > 0 else -sign * m))
     return tuple(out)
+
+
+def tetris_images(entries, k: int, mode: str) -> list:
+    """(entries of sign * T^j(b), j) for the block b with these entries, for
+    j < k, each exponent's signs in the order (+1, -1) (+1 alone unsigned)."""
+    signs = (1, -1) if mode == SIGNED else (1,)
+    return [(_tetris_entries(entries, j, s), j) for j in range(k) for s in signs]
 
 
 def _block_image(b: BlockVector, piece) -> Optional[tuple[int, int]]:
@@ -270,7 +285,10 @@ def span_step(span, pieces) -> list:
 
 def span_combinations(slots) -> list:
     """(value, exponent) for one piece from each slot of every nonempty set
-    of slots: the fold of span_step over the slots, in no fixed order."""
+    of slots: the fold of span_step over the slots, in no fixed order.
+    Refuses more than MAX_UNIVERSE_CELLS combinations before making any."""
+    check_cap(math.prod(len(pieces) + 1 for pieces in slots) - 1,
+              "span combinations")
     span = []
     for pieces in slots:
         span += span_step(span, pieces)
@@ -283,9 +301,7 @@ def span(P: BlockSequence) -> list[BlockVector]:
     Per-block exponents run over 0..k-1 with at least one exponent 0,
     signs over {+1, -1} in signed mode.  Deduplicated, canonical order.
     """
-    signs = (1, -1) if P.mode == SIGNED else (1,)
-    slots = [[(_tetris_entries(b.entries, j, s), j) for j in range(P.k) for s in signs]
-             for b in P.blocks]
+    slots = [tetris_images(b.entries, P.k, P.mode) for b in P.blocks]
     seen = {value for value, exp in span_combinations(slots) if exp == 0}
     return sorted((BlockVector(P.k, P.mode, e) for e in seen), key=BlockVector.sort_key)
 

@@ -216,6 +216,32 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
         assert time.perf_counter() - started < 5
 
+    def test_span_over_cap_is_1(self, capfd):
+        # 3^16 - 1 combinations once printed a MemoryError traceback
+        started = time.perf_counter()
+        blocks = json.dumps([{"entries": [[n, 1]]} for n in range(16)])
+        code, out, err = run_inproc(capfd, "span", "--mode", "signed", "--k", "1",
+                                    "--limit", "1", "--blocks", blocks)
+        assert (code, out) == (1, "")
+        assert err == "error: 43046720 span combinations exceed the cap of 1000000\n"
+        assert time.perf_counter() - started < 5
+
+    def test_verify_over_cap_is_1(self, capfd, tmp_path):
+        # search finds this witness at once; verifying it once tried 9^8
+        # pieces for the length-8 generator
+        started = time.perf_counter()
+        args = ("--family", "value-at-min-support")
+        code, witness, _ = run_inproc(capfd, "search", "--kind", "word", "--mode",
+                                      "unsigned", "--lengths", "1,2,4,8", *args)
+        assert code == 0
+        (tmp_path / "w.json").write_text(witness)
+        code, out, err = run_inproc(capfd, "verify", "--witness",
+                                    f"@{tmp_path / 'w.json'}", *args)
+        assert (code, out) == (1, "")
+        assert err == ("error: 43053372 oracle pieces to try exceed the cap "
+                       "of 1000000\n")
+        assert time.perf_counter() - started < 5
+
     @pytest.mark.parametrize("blocks", ['{"entries":5}', '[5]', '[{"entries":5}]'])
     def test_span_malformed_blocks_is_1(self, capfd, blocks):
         code, out, err = run_inproc(capfd, "span", "--blocks", blocks)

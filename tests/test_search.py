@@ -361,6 +361,19 @@ class TestColourings:
         count = Colouring.family("support-size-mod", 2, arity="vector_matrix")
         assert count(seq, M) == 0  # two blocks
 
+    @pytest.mark.parametrize("make,rule", [
+        (lambda: Colouring.family("support-size-mod", 2), "family:support-size-mod"),
+        (lambda: Colouring.seeded(7, 2), "seeded:7"),
+        (lambda: Colouring.custom(lambda p: 0, 2, name="zero"), "custom:zero"),
+        (lambda: Colouring.custom(lambda p: 0, 2), "custom:custom"),
+        (lambda: Colouring.table({}, 2, default=0), "table"),
+    ], ids=["family", "seeded", "custom", "custom-default", "table"])
+    def test_witness_rule_names_the_colouring(self, make, rule):
+        c = make()
+        assert c.rule_name() == rule
+        res = search_exact(SearchProblem(mode="unsigned", k=1, r=2, N=3, m=1), c)
+        assert res.rule == rule and res.to_dict()["rule"] == rule
+
     def test_witness_json_round_trip(self):
         prob = SearchProblem(mode="unsigned", k=1, r=2, N=4, m=2)
         c = Colouring.family("support-size-mod", 2)
@@ -740,6 +753,28 @@ class TestValidation:
             search_approx(SearchProblem(mode="signed", k=1, r=2, N=10**9, m=2,
                                         radius=1),
                           Colouring.family("support-size-mod", 2))
+
+    @pytest.mark.parametrize("blocks,N,message", [
+        # one 13-entry block: 3^13 candidate pieces over its support
+        ([BlockVector.make(1, "signed", {n: 1 for n in range(13)})], 13,
+         "^1594323 oracle pieces to try exceed the cap of 1000000$"),
+        # 16 one-entry blocks: 48 tries, but 3^16 - 1 products
+        ([BlockVector.make(1, "signed", {n: 1}) for n in range(16)], 16,
+         "^43046720 oracle span products exceed the cap of 1000000$"),
+    ], ids=["tries", "products"])
+    def test_vector_oracle_over_the_cap_fails_before_enumerating(
+            self, monkeypatch, blocks, N, message):
+        c = Colouring.seeded(0, 2)
+        witness = Witness(kind="vector", mode="signed", k=1, r=2, radius=0,
+                          colour=0, certificate=(), N=N,
+                          blocks=BlockSequence(tuple(blocks)))
+        if "pieces to try" in message:
+            monkeypatch.setattr(S, "_block_image",
+                                lambda *a: pytest.fail("a piece was tried"))
+        monkeypatch.setattr(S.itertools, "combinations",
+                            lambda *a: pytest.fail("a product was made"))
+        with pytest.raises(ValueError, match=message):
+            verify_witness(witness, c)
 
     def test_universe_cap_admits_the_largest_tested_instance(self):
         # signed k=2, N=6 (the sign-at-min-support search) has 5^6 cells

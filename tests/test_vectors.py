@@ -200,11 +200,33 @@ class TestSpan:
         def forbidden(*args, **kwargs):
             raise AssertionError("the oracle called the span code it checks")
 
-        for name in ("span", "span_combinations", "span_step"):
+        for name in ("span", "span_combinations", "span_step", "tetris_images"):
             monkeypatch.setattr(V, name, forbidden)
-        for name in ("_VectorKernel", "span_step"):
+        for name in ("_VectorKernel", "span_step", "tetris_images"):
             monkeypatch.setattr(S, name, forbidden)
         assert oracle_span_vectors(seq) == want
+
+    def test_span_over_the_cap_fails_before_combining(self, monkeypatch):
+        monkeypatch.setattr(V, "span_step", lambda *a: pytest.fail("combined"))
+        # 16 signed one-entry blocks: 3^16 - 1 combinations
+        seq = BlockSequence(tuple(s(1, {n: 1}) for n in range(16)))
+        with pytest.raises(ValueError, match="^43046720 span combinations "
+                                             "exceed the cap of 1000000$"):
+            span(seq)
+
+    def test_word_spans_over_the_cap_fail_before_combining(self, monkeypatch):
+        from blockramsey import words as W
+        ab = W.Alphabet.make([["0", "a"]], "0")
+        Y = W.VarWordSequence((W.word(1, "signed", ab, [1]),
+                               W.word(1, "signed", ab, ["0", 1])))
+        for fn in (W.span_words, W.span_letters, W.span_negT):
+            assert fn(Y)  # under the real cap
+        monkeypatch.setattr(V, "MAX_UNIVERSE_CELLS", 2)
+        monkeypatch.setattr(V, "span_step", lambda *a: pytest.fail("combined"))
+        for fn in (W.span_words, W.span_letters, W.span_negT):
+            with pytest.raises(ValueError, match="span combinations exceed "
+                                                 "the cap of 2$"):
+                fn(Y)
 
     @staticmethod
     def _subset_products(slots):

@@ -11,6 +11,7 @@ from blockramsey import Alphabet, Colouring, Witness, search_ghj, verify_witness
 from blockramsey import search as S
 from blockramsey import vectors as V
 from blockramsey import words as W
+from blockramsey.encodings import bitstring_alphabet
 from blockramsey.search import oracle_span_words, word_ball, word_candidates
 from blockramsey.words import Letter, Var, VarWordSequence, Word, classify
 
@@ -123,6 +124,19 @@ def test_word_ball_matches_brute_force_in_canonical_order(k):
                 ball = word_ball(x, 1)
                 assert ball == want
                 assert ball == sorted(ball, key=Word.sort_key)
+
+
+def test_word_oracle_over_the_cap_fails_before_trying(monkeypatch):
+    # a witness the search finds in well under a second; its length-8
+    # generator alone has 9^8 candidate pieces
+    c = Colouring.family("value-at-min-support", 2, arity="word")
+    found = search_ghj(bitstring_alphabet(2), 1, "unsigned", 2, c, (1, 2, 4, 8))
+    assert isinstance(found, Witness)
+    monkeypatch.setattr(W, "_parse_segment",
+                        lambda *a: pytest.fail("a piece was tried"))
+    with pytest.raises(ValueError, match="^43053372 oracle pieces to try "
+                                         "exceed the cap of 1000000$"):
+        verify_witness(found, c)
 
 
 def test_four_generator_word_witness_verifies():
