@@ -76,8 +76,8 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _fnv1a(data: bytes) -> int:
-    h = 0xCBF29CE484222325
+def _fnv1a(data: bytes, h: int = 0xCBF29CE484222325) -> int:
+    # h: the state to resume from; the default is FNV-1a's offset basis
     for byte in data:
         h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h
@@ -90,12 +90,17 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+# A block vector's key is the head, one chunk per entry joined by commas,
+# and the tail; the vector kernel hashes it piece by piece
+_KEY_HEAD, _KEY_CHUNK, _KEY_TAIL = '{"entries":[', "[{},{}]", '],"k":{},"mode":"{}"}}'
+
+
 def element_key(elem) -> str:
     """Canonical serialization used by tables and seeded colourings."""
     if isinstance(elem, BlockVector):
         # canonical_json(elem.to_dict()), formatted without json.dumps
-        entries = ",".join(f"[{n},{v}]" for n, v in elem.entries)
-        return f'{{"entries":[{entries}],"k":{elem.k},"mode":"{elem.mode}"}}'
+        entries = ",".join(_KEY_CHUNK.format(n, v) for n, v in elem.entries)
+        return _KEY_HEAD + entries + _KEY_TAIL.format(elem.k, elem.mode)
     if isinstance(elem, Word):
         return canonical_json(elem.to_dict())
     if isinstance(elem, tuple) and len(elem) == 2:
@@ -145,6 +150,7 @@ class Colouring:
         self.r = r
         self.rule = rule
         self.fn = fn
+        self.seed = None  # set by `seeded` alone: the vector kernel reads it
 
     @classmethod
     def family(cls, name: str, r: int, arity: str = "vector") -> "Colouring":
@@ -171,7 +177,9 @@ class Colouring:
             key = element_key(elem[0] if len(elem) == 1 else elem)
             return _splitmix64(_fnv1a(key.encode()) ^ (seed & 0xFFFFFFFFFFFFFFFF)) % r
 
-        return cls(arity, r, f"seeded:{seed}", fn)
+        colouring = cls(arity, r, f"seeded:{seed}", fn)
+        colouring.seed = seed
+        return colouring
 
     @classmethod
     def custom(cls, fn: Callable, r: int, arity: str = "vector",
@@ -383,12 +391,15 @@ class _VectorKernel:
     colour sets are bitmasks (bit c set when colour c is possible).
 
     `codes` lists the universe in canonical order and `index` maps a code
-    to its place there.  A code is decoded to a BlockVector only to colour
-    its cell, and for the certificate and the witness.  Cells are coloured
-    on demand, once each: a cell maps to `1 << colour`, or to 0 when it lies
-    outside the universe.  The sup-norm ball of radius 1 is a box of cells,
-    so a span element's feasible colours are the OR over its box (at radius
-    0, over the element alone).
+    to its place there.  A nonzero code is its prefix code (the code with
+    its last entry (n, v) peeled off) plus v * B**n, and a code's tetris
+    images and seeded-colour hash state are built from its prefix's, each
+    memoized by code: T and the sign act position by position, and FNV-1a
+    resumes from the state after the prefix's key.  Cells are coloured on
+    demand, once each, to `1 << colour`, or to 0 outside the universe; a
+    colouring that is not seeded gets the decoded BlockVector.  The sup-norm
+    ball of radius 1 is a box of cells, so a span element's feasible colours
+    are the OR over its box (at radius 0, over the element alone).
     """
 
     def __init__(self, problem: SearchProblem, colouring: Colouring):
@@ -424,8 +435,14 @@ class _VectorKernel:
         # starts[s]: the first place in `codes` whose min support is >= s
         self.codes, self.starts = full, [len(full) - size for size in sizes]
         self.index = {code: i for i, code in enumerate(full)}
-        self._variants = {}
+        # the images of the zero code, and the image values of one entry
+        self._images = {0: [(0, j) for _, j in tetris_images((), self.k, self.mode)]}
+        self._digits = {v: [sum(u for _, u in e) for e, _ in
+                            tetris_images(((0, v),), self.k, self.mode)]
+                        for v in values if v}
         self._colour_bits = {}
+        self._tail = _KEY_TAIL.format(self.k, self.mode).encode()
+        self._states = {0: _fnv1a(_KEY_HEAD.encode())}
 
     def decode(self, code: int) -> tuple[tuple[int, int], ...]:
         """The (position, value) entries of the vector with this code."""
@@ -446,13 +463,35 @@ class _VectorKernel:
         block's max support."""
         if not prefix:
             return range(len(self.codes))
-        reach = bisect.bisect_right(self.least, abs(self.codes[prefix[-1]])) - 1
+        reach = self._peel(self.codes[prefix[-1]])[1]
         return range(self.starts[reach + 1], len(self.codes))
+
+    def _peel(self, code: int) -> tuple[int, int, int]:
+        """(prefix code, n, v) for the last entry (n, v) of a nonzero code."""
+        n = bisect.bisect_right(self.least, abs(code)) - 1
+        v = (code + self.base) // self.powers[n] % self.B + self.lo
+        return code - v * self.powers[n], n, v
+
+    def _state(self, code: int) -> int:
+        """The FNV-1a state after the key head and the entries of a code."""
+        h = self._states.get(code)
+        if h is None:
+            prefix, n, v = self._peel(code)
+            chunk = ("," if prefix else "") + _KEY_CHUNK.format(n, v)
+            h = self._states[code] = _fnv1a(chunk.encode(), self._state(prefix))
+        return h
 
     def _bits(self, code: int) -> int:
         bit = self._colour_bits.get(code)
         if bit is None:
-            bit = 1 << self.colouring(self.vector(code)) if code in self.index else 0
+            if code not in self.index:
+                bit = 0
+            elif self.colouring.seed is None:
+                bit = 1 << self.colouring(self.vector(code))
+            else:  # Colouring.seeded, resumed from the prefix's state
+                h = _fnv1a(self._tail, self._state(code))
+                h ^= self.colouring.seed & 0xFFFFFFFFFFFFFFFF
+                bit = 1 << _splitmix64(h) % self.colouring.r
             self._colour_bits[code] = bit
         return bit
 
@@ -469,23 +508,22 @@ class _VectorKernel:
             cells = map(code.__add__, map(sum, itertools.product(*shifts)))
         return map(self._bits, cells)
 
-    def code(self, entries) -> int:
-        """The code of the vector with these (position, value) entries."""
-        code, powers = 0, self.powers
-        for n, v in entries:
-            code += v * powers[n]
-        return code
-
     def colour_bit(self, p: BlockVector) -> int:
         """The colour bit of a universe member's cell."""
-        return self._bits(self.code(p.entries))
+        return self._bits(sum(v * self.powers[n] for n, v in p.entries))
 
     def variants(self, ci: int) -> list[tuple[int, int]]:
         """(code, tetris exponent) of every signed tetris image of a block."""
-        out = self._variants.get(ci)
+        return self._variants(self.codes[ci])
+
+    def _variants(self, code: int) -> list[tuple[int, int]]:
+        out = self._images.get(code)
         if out is None:
-            images = tetris_images(self.decode(self.codes[ci]), self.k, self.mode)
-            out = self._variants[ci] = [(self.code(e), j) for e, j in images]
+            prefix, n, v = self._peel(code)
+            step = self.powers[n]
+            out = self._images[code] = [
+                (c + d * step, j)
+                for (c, j), d in zip(self._variants(prefix), self._digits[v])]
         return out
 
 
@@ -784,9 +822,10 @@ def verify_witness(witness: Witness, colouring: Colouring) -> VerifyReport:
     unknown, whose radius is not 0 or 1, or whose radius is 1 outside signed
     mode; a colouring with another number of colours than the witness; a
     colour outside [0, r); a k or mode other than the blocks' or words'; a
-    vector witness with a block position outside [0, N); word lengths
-    other than `lengths`; or a witness whose independent span would take
-    more than MAX_UNIVERSE_CELLS candidate pieces (summed over its blocks or
+    vector witness with a block position outside [0, N), or of radius 1
+    over a universe the search would refuse; word lengths other than
+    `lengths`; or a witness whose independent span would take more than
+    MAX_UNIVERSE_CELLS candidate pieces (summed over its blocks or
     generators) or piece products to enumerate, refused before any is made.
     """
     if witness.mode not in MODES:
@@ -809,6 +848,8 @@ def verify_witness(witness: Witness, colouring: Colouring) -> VerifyReport:
         if witness.N is None or reach >= witness.N:
             raise ValueError(f"witness block position {reach} lies outside "
                              f"[0, N) for N={witness.N}")
+        if witness.radius:  # each ball walk is linear in N
+            _coordinate_values(witness.k, witness.N, witness.mode)
     elif [len(w) for w in seq] != list(witness.lengths):
         raise ValueError(f"the witness lengths {list(witness.lengths)} differ "
                          f"from its words' {[len(w) for w in seq]}")

@@ -28,8 +28,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .vectors import (MODES, SIGNED, UNSIGNED, _is_int, json_field, json_objects,
-                      span_combinations)
+from .vectors import (MODES, SIGNED, UNSIGNED, _is_int, check_cap, json_field,
+                      json_objects, span_combinations)
 
 
 def letter_key(token):
@@ -416,7 +416,8 @@ def _slot_pieces(gen: Word, level: int, neg_t: bool = False):
     The pieces are sign * T^j(gen) for j in 0..k (with sign = (-1)^j when
     neg_t, so that the piece is (-T)^j(gen)) and gen[lam] for every lam
     over that level, in that order.  Exponent 0 marks a piece of full
-    class k, which is gen itself or, signed, its reflection.
+    class k, which is gen itself or, signed, its reflection.  Refuses more
+    than MAX_UNIVERSE_CELLS substitutions before making any.
     """
     k = gen.k
     arity = k if gen.mode == UNSIGNED else 2 * k
@@ -426,6 +427,7 @@ def _slot_pieces(gen: Word, level: int, neg_t: bool = False):
         signs = (1, -1) if gen.mode == SIGNED else (1,)
         opts = [(s, j, None) for j in range(k + 1) for s in signs]
     letters = gen.alphabet.letters(level)
+    check_cap(len(letters) ** arity, "substitution pieces")
     opts.extend((1, 0, lam) for lam in itertools.product(letters, repeat=arity))
     distinct = {}
     for sign, j, lam in opts:

@@ -226,6 +226,39 @@ class TestExitCodes:
         assert err == "error: 43046720 span combinations exceed the cap of 1000000\n"
         assert time.perf_counter() - started < 5
 
+    def test_span_substitution_pieces_over_cap_is_1(self, capfd):
+        # 16^6 substitution pieces of one signed k=3 generator once ran past
+        # a 10 s timeout
+        started = time.perf_counter()
+        alphabet = json.dumps({"levels": [[str(t) for t in range(16)]],
+                               "zero": "0"})
+        words = json.dumps([{"k": 3, "mode": "signed",
+                             "symbols": [{"var": 3}]}])
+        code, out, err = run_inproc(capfd, "span", "--kind", "words",
+                                    "--alphabet", alphabet, "--words", words,
+                                    "--limit", "1")
+        assert (code, out) == (1, "")
+        assert err == ("error: 16777216 substitution pieces exceed the cap "
+                       "of 1000000\n")
+        assert time.perf_counter() - started < 5
+
+    def test_verify_radius1_universe_over_cap_is_1(self, capfd, tmp_path):
+        # the seed-1 N=4 radius-1 witness with N edited to 100,000
+        started = time.perf_counter()
+        code, out, _ = run_inproc(capfd, "search", "--mode", "signed", "--k",
+                                  "1", "--N", "4", "--m", "2", "--radius", "1",
+                                  "--seed", "1")
+        assert code == 0
+        witness = json.loads(out)
+        witness["N"] = 100000
+        (tmp_path / "w.json").write_text(json.dumps(witness))
+        code, out, err = run_inproc(capfd, "verify", "--witness",
+                                    f"@{tmp_path / 'w.json'}", "--seed", "1")
+        assert (code, out) == (1, "")
+        assert err == ("error: universe of 3^100000 cells exceeds the cap of "
+                       "1000000; lower k or N\n")
+        assert time.perf_counter() - started < 5
+
     def test_verify_over_cap_is_1(self, capfd, tmp_path):
         # search finds this witness at once; verifying it once tried 9^8
         # pieces for the length-8 generator

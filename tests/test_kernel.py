@@ -1,7 +1,7 @@
 """The integer-coded kernel of the vector search (its universe codes, tetris
 variants, on-demand colouring and box walks), against the independent
-`enumerate_universe`, `_tetris_entries` and `vector_ball` oracles, plus
-pinned search outcomes."""
+`enumerate_universe`, `_tetris_entries`, `tetris_images`, `vector_ball` and
+scalar `Colouring.seeded` oracles, plus pinned search outcomes."""
 
 import hashlib
 import math
@@ -24,7 +24,7 @@ from blockramsey.search import (
     element_key,
     vector_ball,
 )
-from blockramsey.vectors import _tetris_entries
+from blockramsey.vectors import _tetris_entries, tetris_images
 
 KERNEL_COLOURINGS = [
     ("min-position-mod", 3), ("weighted-sum-mod", 2),
@@ -132,29 +132,55 @@ def test_variants_are_the_tetris_images(mode, k, N):
 
 
 @pytest.mark.parametrize("mode,k,N", UNIVERSES)
+def test_variants_built_from_prefixes_match_the_decoded_images(mode, k, N):
+    # the kernel builds a code's images from its prefix code's; a fresh
+    # kernel asked last block first meets each prefix in another order
+    kernel = _bare_kernel(mode, k, N)
+    for ci in reversed(range(len(kernel.codes))):
+        images = tetris_images(kernel.decode(kernel.codes[ci]), k, mode)
+        assert kernel.variants(ci) == [(_code(kernel, e), j) for e, j in images]
+
+
+# seeds -1 and 2**70 + 5 lie outside [0, 2**64) and exercise the seed mask
+@pytest.mark.parametrize("seed", [0, 7, -1, 2 ** 70 + 5])
+@pytest.mark.parametrize("mode,k,N", UNIVERSES)
+def test_seeded_colours_resumed_from_prefixes_match_colouring_seeded(
+        mode, k, N, seed):
+    for r in (2, 3):
+        reference = Colouring.seeded(seed, r)
+        colouring = Colouring.seeded(seed, r)
+        # the kernel never calls the scalar colour of a seeded colouring
+        colouring.fn = lambda *elem: pytest.fail("the scalar colour was called")
+        kernel = _VectorKernel(SearchProblem(mode, k, r, N, 1), colouring)
+        for code in reversed(kernel.codes):
+            assert kernel._bits(code) == 1 << reference(kernel.vector(code))
+
+
+@pytest.mark.parametrize("mode,k,N", UNIVERSES)
 def test_element_key_is_the_canonical_json(mode, k, N):
     for p in enumerate_universe(k, N, mode):
         assert element_key(p) == canonical_json(p.to_dict())
 
 
-def test_certificate_colours_only_until_the_first_on_colour_cell():
+def test_certificate_colours_only_until_the_first_on_colour_cell(monkeypatch):
     # the witness comes at the first prefix, so nearly all the colouring is
     # the certificate's; colouring each element's whole box would colour
     # all 3^9 - 1 = 19,682 cells of the universe.  The digest was recorded
-    # from a kernel that did so.
-    colouring = Colouring.seeded(7, 2)
-    seeded, calls = colouring.fn, []
+    # from a kernel that did so.  Each seeded colour, scalar or resumed by
+    # the kernel, ends in one splitmix64 round, so counting those counts
+    # the cells coloured.
+    splitmix64, calls = S._splitmix64, []
 
-    def counted(*elem):
-        calls.append(elem)
-        return seeded(*elem)
+    def counted(x):
+        calls.append(x)
+        return splitmix64(x)
 
-    colouring.fn = counted
+    monkeypatch.setattr(S, "_splitmix64", counted)
     res = search_approx(SearchProblem("signed", 1, 2, 9, 3, radius=1),
-                        colouring)
+                        Colouring.seeded(7, 2))
     digest = hashlib.sha256(canonical_json(res.to_dict()).encode()).hexdigest()
     assert digest[:16] == "0225d8a65c88b0a3"
-    assert len(calls) <= 100
+    assert 0 < len(calls) <= 100
 
 
 def _sign_at_min_support(p):
@@ -190,6 +216,10 @@ PINNED = [
      "1712f52c3a24299c"),
     (SearchProblem("signed", 2, 3, 5, 2, radius=1), Colouring.seeded(1, 3),
      "7578e1dd1e061c80"),
+    # recorded before the kernel built images and seeded colours from
+    # prefix codes
+    (SearchProblem("signed", 1, 2, 8, 3), Colouring.seeded(0, 2),
+     (16256, 12844)),
 ]
 
 

@@ -1,6 +1,7 @@
 """Search engine: universes, documented outcomes, soundness, determinism."""
 
 import collections
+import dataclasses
 import gc
 import hashlib
 import json
@@ -775,6 +776,19 @@ class TestValidation:
                             lambda *a: pytest.fail("a product was made"))
         with pytest.raises(ValueError, match=message):
             verify_witness(witness, c)
+
+    def test_verify_refuses_a_radius1_universe_over_the_cap(self, monkeypatch):
+        # each ball walk is linear in N: this witness with N=100,000 once
+        # took over a second to pass 8 elements
+        c = Colouring.seeded(1, 2)
+        w = search_approx(SearchProblem("signed", 1, 2, 4, 2, radius=1), c)
+        assert verify_witness(w, c).passed
+        big = dataclasses.replace(w, N=100000)
+        monkeypatch.setattr(S, "iter_vector_ball",
+                            lambda *a: pytest.fail("a ball was walked"))
+        with pytest.raises(ValueError, match="^universe of 3\\^100000 cells "
+                                             "exceeds the cap of 1000000"):
+            verify_witness(big, c)
 
     def test_universe_cap_admits_the_largest_tested_instance(self):
         # signed k=2, N=6 (the sign-at-min-support search) has 5^6 cells

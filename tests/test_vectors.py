@@ -221,11 +221,25 @@ class TestSpan:
                                W.word(1, "signed", ab, ["0", 1])))
         for fn in (W.span_words, W.span_letters, W.span_negT):
             assert fn(Y)  # under the real cap
-        monkeypatch.setattr(V, "MAX_UNIVERSE_CELLS", 2)
+        # 4 = 2^2 substitution pieces per generator stay under the cap
+        monkeypatch.setattr(V, "MAX_UNIVERSE_CELLS", 4)
         monkeypatch.setattr(V, "span_step", lambda *a: pytest.fail("combined"))
         for fn in (W.span_words, W.span_letters, W.span_negT):
             with pytest.raises(ValueError, match="span combinations exceed "
-                                                 "the cap of 2$"):
+                                                 "the cap of 4$"):
+                fn(Y)
+
+    def test_substitution_pieces_over_the_cap_fail_before_building(
+            self, monkeypatch):
+        # a signed k=3 generator substitutes 6 variables: 16^6 pieces over a
+        # 16-letter level, which once ran past any timeout
+        from blockramsey import words as W
+        ab = W.Alphabet.make([[str(t) for t in range(16)]], "0")
+        Y = W.VarWordSequence((W.word(3, "signed", ab, [3]),))
+        monkeypatch.setattr(W, "eval_segment", lambda *a: pytest.fail("built"))
+        for fn in (W.span_words, W.span_letters, W.span_negT):
+            with pytest.raises(ValueError, match="^16777216 substitution pieces "
+                                                 "exceed the cap of 1000000$"):
                 fn(Y)
 
     @staticmethod
