@@ -198,15 +198,24 @@ def _cmd_perfect_sets(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    # a given option that only the other kind reads is refused, not ignored
+    foreign = ({"--lengths": args.lengths, "--alphabet": args.alphabet}
+               if args.kind == "vector" else {"--N": args.N, "--m": args.m})
+    given = [name for name, value in foreign.items() if value is not None]
+    if given:
+        raise ValueError(f"search --kind {args.kind} takes no "
+                         f"{' or '.join(given)}")
     if args.kind == "vector":
         problem = SearchProblem(mode=args.mode, k=args.k, r=args.colours,
-                                N=args.N, m=args.m, radius=args.radius)
+                                N=4 if args.N is None else args.N,
+                                m=2 if args.m is None else args.m,
+                                radius=args.radius)
         colouring = _colouring_from_args(args, "vector")
         search = S.search_exact if args.radius == 0 else S.search_approx
         result = search(problem, colouring)
     else:
         alphabet = _alphabet_from_arg(args.alphabet)
-        lengths = _lengths_from_arg(args.lengths)
+        lengths = _lengths_from_arg("1,2" if args.lengths is None else args.lengths)
         colouring = _colouring_from_args(args, "word")
         result = S.search_ghj(alphabet, args.k, args.mode, args.colours,
                               colouring, lengths, radius=args.radius)
@@ -436,11 +445,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     add_colouring(p)
     p.add_argument("--kind", choices=("vector", "word"), default="vector")
-    p.add_argument("--N", type=int, default=4)
-    p.add_argument("--m", type=int, default=2)
+    # each kind's options default to None, so that the other kind refuses them
+    p.add_argument("--N", type=int, help="vector search (default 4)")
+    p.add_argument("--m", type=int, help="vector search (default 2)")
     p.add_argument("--radius", type=int, default=0, choices=(0, 1))
-    p.add_argument("--lengths", default="1,2", help="word search: exact lengths")
-    p.add_argument("--alphabet")
+    p.add_argument("--lengths", help="word search: exact lengths (default 1,2)")
+    p.add_argument("--alphabet", help="word search")
     p.set_defaults(func=_cmd_search)
 
     p = command("verify", help="re-check a witness independently")

@@ -534,10 +534,10 @@ def _dfs(m: int, candidates: Callable, pieces: Callable, ball: Callable,
     `candidates(prefix)` lists the next slot's candidates in canonical
     order, and `pieces(slot, cand)` a candidate's distinct span pieces as
     (value, exponent) pairs.  A candidate adds to its prefix's span the
-    elements `span_step` makes from its pieces (values are integer codes
-    or symbol tuples), and exponent 0 marks a span element.  `ball(value)`
-    yields one colour bit (1 << c, or 0 for a vector cell outside the
-    universe) per member of a span element's ball.
+    elements `span_step` makes from its pieces (values are the integer
+    codes of vectors or the tuple codes of words), and exponent 0 marks a
+    span element.  `ball(value)` yields one colour bit (1 << c, or 0 for a
+    vector cell outside the universe) per member of a span element's ball.
 
     The search keeps, per element, the colour bits seen and a mark once its
     whole ball was seen.  A walk stops once every colour still alive is
@@ -659,6 +659,52 @@ def _slot_symbols(alphabet: Alphabet, k: int, mode: str,
     return [Letter(t) for t in letters] + [Var(i) for i in indices]
 
 
+class _WordCodes:
+    """One word search's words as codes: the tuple of each symbol's place in
+    `table`, which holds every letter of the alphabet, then the variables,
+    in symbol_key order.  Codes hash as ints, and sorting codes by
+    (len, code) sorts their words by Word.sort_key.
+
+    A radius-1 ball (signed words only) is a product over places, as in
+    iter_word_ball: a nonzero letter stays, and the zero letter or v_i
+    moves to the places of the indices within 1 of its own, sorted by
+    place; a member has full class when it holds v_k or v_-k.
+    """
+
+    def __init__(self, alphabet: Alphabet, k: int, mode: str):
+        self.k, self.mode, self.alphabet = k, mode, alphabet
+        self.table = _slot_symbols(alphabet, k, mode)
+        self.place = {sym: p for p, sym in enumerate(self.table)}
+        if mode == SIGNED:
+            zero = alphabet.zero
+            self.near = []
+            for sym in self.table:
+                if isinstance(sym, Letter) and sym.token != zero:
+                    self.near.append([self.place[sym]])
+                    continue
+                idx = W._symbol_index(sym, zero)
+                self.near.append(sorted(
+                    self.place[Var(i) if i else Letter(zero)]
+                    for i in range(idx - 1, idx + 2) if abs(i) <= k))
+            self.full = {self.place[Var(k)], self.place[Var(-k)]}
+
+    # codes and words are built from lists: tuple(map(...)) grows its tuple
+    # by resizing, past the tuple free list that freeing it then fills
+    def code(self, symbols: tuple) -> tuple:
+        return tuple([self.place[sym] for sym in symbols])
+
+    def word(self, code: tuple) -> Word:
+        return Word(self.k, self.mode, self.alphabet,
+                    tuple([self.table[p] for p in code]))
+
+    def ball(self, code: tuple, radius: int):
+        """The codes of iter_word_ball(self.word(code), radius), in its order."""
+        if not radius:
+            return (code,)
+        return itertools.filterfalse(self.full.isdisjoint, itertools.product(
+            *map(self.near.__getitem__, code)))
+
+
 def word_candidates(alphabet: Alphabet, k: int, mode: str, length: int,
                     letters: Optional[Iterable] = None) -> list[Word]:
     """All full-class words of the given length, canonical order."""
@@ -699,28 +745,30 @@ def search_ghj(alphabet: Alphabet, k: int, mode: str, r: int,
     slots = [itertools.tee(_full_class_words(k, mode, alphabet,
                                              [symbols] * ln), 1)[0]
              for ln in lengths]
+    codes = _WordCodes(alphabet, k, mode)
     # rapid increase keeps the concatenations of distinct pieces distinct
-    pieces = functools.cache(lambda slot, wrd: W._slot_pieces(wrd, slot))
-    bits = {}  # symbol tuple -> 1 << colour: a search colours each word once
+    pieces = functools.cache(lambda slot, wrd: [
+        (codes.code(syms), exp) for syms, exp in W._slot_pieces(wrd, slot)])
+    bits = {}  # code -> 1 << colour: a search colours each word once
 
-    def colour_bit(y: Word) -> int:
-        bit = bits.get(y.symbols)
+    def colour_bit(code: tuple) -> int:
+        bit = bits.get(code)
         if bit is None:
-            bit = bits[y.symbols] = 1 << colouring(y)
+            bit = bits[code] = 1 << colouring(codes.word(code))
         return bit
 
     found = _dfs(len(lengths), lambda prefix: copy.copy(slots[len(prefix)]),
-                 pieces, lambda syms: map(colour_bit, iter_word_ball(
-                     Word(k, mode, alphabet, syms), radius)), r)
+                 pieces, lambda code: map(colour_bit, codes.ball(code, radius)),
+                 r)
     if isinstance(found, Exhausted):
         return found
     prefix, span, colour = found
-    elements = sorted((Word(k, mode, alphabet, syms)
-                       for syms, exp in span if exp == 0), key=Word.sort_key)
+    elements = sorted(sorted(code for code, exp in span if exp == 0), key=len)
     return Witness(
         kind="word", mode=mode, k=k, r=r, radius=radius, colour=colour,
-        certificate=_certificate(elements, colour, radius, iter_word_ball,
-                                 colour_bit, W.dist_words),
+        certificate=_certificate(
+            map(codes.word, elements), colour, radius, iter_word_ball,
+            lambda y: colour_bit(codes.code(y.symbols)), W.dist_words),
         words=VarWordSequence(tuple(prefix)), lengths=lengths,
         rule=colouring.rule_name(),
     )
@@ -883,11 +931,13 @@ def verify_witness(witness: Witness, colouring: Colouring) -> VerifyReport:
 def _lift(colouring: Colouring, cols: int) -> Callable[[Word], int]:
     """The word colouring w -> colouring(phi_encode(X), psi_encode(X, cols))
     for X = (w,), with both encodings read straight off the word."""
+    letter_bits = functools.cache(lambda token: _set_bits(token, cols))
+
     def lifted(wrd: Word) -> int:
         block = BlockVector(wrd.k, wrd.mode, W._var_entries(wrd))
         bits = frozenset((n, i) for n, sym in enumerate(wrd.symbols)
                          if isinstance(sym, Letter)
-                         for i in _set_bits(sym.token, cols))
+                         for i in letter_bits(sym.token))
         return colouring(BlockSequence((block,)),
                          ParamMatrix(len(wrd), cols, bits))
     return lifted

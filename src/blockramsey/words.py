@@ -136,6 +136,7 @@ class Word:
             raise ValueError("k must be at least 1")
         if not self.symbols:
             raise ValueError("words are nonempty")
+        top = self.alphabet.top
         for sym in self.symbols:
             if isinstance(sym, Var):
                 i = sym.index
@@ -144,7 +145,7 @@ class Word:
                 if self.mode == UNSIGNED and i < 0:
                     raise ValueError("negative variable in unsigned mode")
             elif isinstance(sym, Letter):
-                if sym.token not in self.alphabet.top:
+                if sym.token not in top:
                     letter = json.dumps(_token_json(sym.token), default=repr)
                     raise ValueError(f"letter {letter} not in the alphabet")
             else:

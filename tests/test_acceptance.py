@@ -538,6 +538,11 @@ def test_c10_cli_golden_files():
         (["search", "--kind", "word", "--mode", "signed", "--k", "1",
           "--lengths", "2,3", "--radius", "1", "--colours", "3", "--seed", "5"],
          "search_word_radius1.json", 0),
+        (["search", "--kind", "word", "--mode", "signed", "--k", "1",
+          "--lengths", "1,2,4", "--radius", "1", "--family",
+          "value-at-min-support", "--alphabet",
+          '{"levels":[["0","a"]],"zero":"0"}'],
+         "search_word_radius1_124.json", 0),
         (["pipeline", "--mode", "signed", "--k", "1", "--lengths", "2,3",
           "--family", "support-size-mod", "--samples", "8"],
          "pipeline_signed.json", 0),

@@ -513,6 +513,18 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == f"error: span --kind {kind} takes its mode and k from --words\n"
 
+    @pytest.mark.parametrize("args,error", [
+        (("--kind", "word", "--N", "9", "--m", "5"),
+         "search --kind word takes no --N or --m"),
+        (("--lengths", "1,2,4", "--alphabet", "{}"),
+         "search --kind vector takes no --lengths or --alphabet"),
+    ], ids=["word-N-m", "vector-lengths-alphabet"])
+    def test_search_refuses_the_other_kinds_options(self, capfd, args, error):
+        # each was once read by one kind only and silently ignored by the other
+        code, out, err = run_inproc(capfd, "search", *args)
+        assert code == 1 and out == ""
+        assert err == f"error: {error}\n"
+
     def test_exhausted_is_3(self, capfd):
         code, out, _ = run_inproc(
             capfd, "search", "--mode", "unsigned", "--k", "1", "--N", "2",

@@ -4,7 +4,9 @@ import collections
 import dataclasses
 import gc
 import hashlib
+import itertools
 import json
+import random
 import time
 
 import pytest
@@ -37,7 +39,7 @@ from blockramsey.search import (
     word_ball,
 )
 from blockramsey.encodings import bitstring_alphabet, phi_encode, psi_encode
-from blockramsey.words import Var, VarWordSequence, classify
+from blockramsey.words import Letter, Var, VarWordSequence, Word, classify
 from blockramsey.words import word as mkword
 
 AB = Alphabet.make([["0", "a"]], "0")
@@ -512,6 +514,49 @@ class TestBalls:
         assert digest == "379e79fd4d9a6b31"  # the whole-ball search's witness
         full = sum(len(word_ball(x, 1)) for x in walked)
         assert 0 < calls < full
+
+
+class TestWordCodes:
+    """The word search's code table against the Word-level walkers."""
+
+    @pytest.mark.parametrize("radius", [0, 1])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("letters", [("0", "a"), ("0", "a", "b")])
+    def test_code_ball_is_iter_word_ball(self, letters, k, radius):
+        alphabet = Alphabet.make([letters], "0")
+        codes = S._WordCodes(alphabet, k, "signed")
+        for length in range(1, 5):
+            for x in S.word_candidates(alphabet, k, "signed", length):
+                got = codes.ball(codes.code(x.symbols), radius)
+                assert list(map(codes.word, got)) == \
+                    list(S.iter_word_ball(x, radius))
+
+    @pytest.mark.parametrize("k,mode", [(1, "signed"), (2, "unsigned")])
+    def test_code_order_is_sort_key_order(self, k, mode):
+        # bitstring letters differ in length, so letter_key orders them by
+        # length before content
+        alphabet = bitstring_alphabet(2)
+        indices = range(1, k + 1) if mode == "unsigned" else (-k, -1, 1, k)
+        symbols = [Letter(t) for t in alphabet.top] + [Var(i) for i in indices]
+        words = [Word(k, mode, alphabet, syms) for n in (1, 2, 3)
+                 for syms in itertools.product(symbols, repeat=n)]
+        random.Random(0).shuffle(words)
+        codes = S._WordCodes(alphabet, k, mode)
+        # the order the word search lists its witness's span elements in
+        got = sorted(sorted(codes.code(w.symbols) for w in words), key=len)
+        assert list(map(codes.word, got)) == sorted(words, key=Word.sort_key)
+
+
+def test_unsigned_1248_word_witness_is_pinned():
+    # recorded before the word search ran on codes: 1,185 span elements,
+    # the certificate sorted by Word.sort_key over bitstring letters
+    res = search_ghj(bitstring_alphabet(2), 1, "unsigned", 2,
+                     Colouring.family("value-at-min-support", 2, arity="word"),
+                     (1, 2, 4, 8))
+    assert len(res.certificate) == 1185
+    digest = hashlib.sha256(
+        S.canonical_json(res.to_dict()).encode()).hexdigest()[:16]
+    assert digest == "fe6e29605b7712c1"
 
 
 # (colouring, mode, lengths, radius, outcome) of word searches whose outcome
