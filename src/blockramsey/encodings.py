@@ -18,7 +18,6 @@ matrix of the substituted sequence.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -32,7 +31,6 @@ from .words import (
     Segment,
     Var,
     VarWordSequence,
-    Word,
     _var_entries,
     compose,
     concat,
@@ -109,10 +107,6 @@ class ParamMatrix:
     @classmethod
     def from_dict(cls, data: dict) -> "ParamMatrix":
         return cls(data["rows"], data["cols"], frozenset(map(tuple, data["bits"])))
-
-
-def concat_all(X: VarWordSequence) -> Word:
-    return functools.reduce(concat, X.words)
 
 
 def _check_pairs(Y: VarWordSequence):

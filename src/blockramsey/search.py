@@ -508,9 +508,10 @@ class _VectorKernel:
             cells = map(code.__add__, map(sum, itertools.product(*shifts)))
         return map(self._bits, cells)
 
-    def colour_bit(self, p: BlockVector) -> int:
-        """The colour bit of a universe member's cell."""
-        return self._bits(sum(v * self.powers[n] for n, v in p.entries))
+    def walk(self, code: int) -> Iterable[int]:
+        """The codes of iter_vector_ball's members around `code`, in order."""
+        return (sum(v * self.powers[n] for n, v in q.entries) for q in
+                iter_vector_ball(self.vector(code), len(self.powers), self.radius))
 
     def variants(self, ci: int) -> list[tuple[int, int]]:
         """(code, tetris exponent) of every signed tetris image of a block."""
@@ -593,15 +594,18 @@ def _dfs(m: int, candidates: Callable, pieces: Callable, ball: Callable,
     return Exhausted(nodes, dead_ends) if found is None else found
 
 
-def _certificate(elements, colour: int, radius: int, walk: Callable,
-                 colour_bit: Callable, dist: Callable) -> tuple:
-    """Each span element with its evidence: at radius 1, the first member of
-    `walk(x, radius)` (its canonical ball) with the colour, and its distance."""
+def _certificate(elements, colour: int, walk: Optional[Callable],
+                 colour_bit: Callable, decode: Callable, dist: Callable) -> tuple:
+    """Each span element, by its code in witness order, with its evidence:
+    given a radius-1 walk (None at radius 0), the first code of `walk(code)`
+    with the colour's bit, decoded, and its distance."""
     cert = []
-    for x in elements:
+    for code in elements:
+        x = decode(code)
         entry = {"element": x.to_dict(), "colour": colour}
-        if radius:
-            nb = next(y for y in walk(x, radius) if colour_bit(y) == 1 << colour)
+        if walk:
+            nb = decode(next(y for y in walk(code)
+                             if colour_bit(y) == 1 << colour))
             entry.update(neighbour=nb.to_dict(), dist=dist(x, nb))
         cert.append(entry)
     return tuple(cert)
@@ -618,11 +622,9 @@ def _vector_search(problem: SearchProblem, colouring: Colouring):
         return found
     prefix, span, colour = found
     # the universe is in canonical order, so sorting by index sorts the span
-    members = sorted((kernel.index[code], code) for code, j in span if j == 0)
-    cert = _certificate([kernel.vector(code) for _, code in members], colour,
-                        problem.radius,
-                        lambda p, radius: iter_vector_ball(p, problem.N, radius),
-                        kernel.colour_bit, linf_dist)
+    members = sorted((code for code, j in span if j == 0), key=kernel.index.get)
+    cert = _certificate(members, colour, kernel.walk if problem.radius else None,
+                        kernel._bits, kernel.vector, linf_dist)
     return Witness(
         kind="vector", mode=problem.mode, k=problem.k, r=problem.r,
         radius=problem.radius, colour=colour, certificate=cert,
@@ -668,7 +670,8 @@ class _WordCodes:
     A radius-1 ball (signed words only) is a product over places, as in
     iter_word_ball: a nonzero letter stays, and the zero letter or v_i
     moves to the places of the indices within 1 of its own, sorted by
-    place; a member has full class when it holds v_k or v_-k.
+    place; a member has full class when it holds v_k or v_-k.  The DFS and
+    the certificate walk it, and decode only the members they colour or pick.
     """
 
     def __init__(self, alphabet: Alphabet, k: int, mode: str):
@@ -767,8 +770,8 @@ def search_ghj(alphabet: Alphabet, k: int, mode: str, r: int,
     return Witness(
         kind="word", mode=mode, k=k, r=r, radius=radius, colour=colour,
         certificate=_certificate(
-            map(codes.word, elements), colour, radius, iter_word_ball,
-            lambda y: colour_bit(codes.code(y.symbols)), W.dist_words),
+            elements, colour, (lambda code: codes.ball(code, 1)) if radius
+            else None, colour_bit, codes.word, W.dist_words),
         words=VarWordSequence(tuple(prefix)), lengths=lengths,
         rule=colouring.rule_name(),
     )
@@ -1066,6 +1069,8 @@ def witness_from_dict(data: dict) -> Witness:
         if not (_is_int(value) if want is int else isinstance(value, want)):
             raise ValueError(f"the witness field {field!r} must be a JSON "
                              f"{_JSON_TYPE_NAMES[want]}")
+    if not isinstance(data.get("rule", ""), str):  # optional, but a string
+        raise ValueError("the witness field 'rule' must be a JSON string")
     common = dict(
         kind=data["kind"], mode=data["mode"], k=data["k"], r=data["r"],
         radius=data["radius"], colour=data["colour"],

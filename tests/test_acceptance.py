@@ -535,6 +535,10 @@ def test_c10_cli_golden_files():
         (["search", "--mode", "signed", "--k", "2", "--N", "5", "--m", "2",
           "--colours", "2", "--family", "weighted-sum-mod"],
          "search_weighted_sum_k2.json", 0),
+        # k=2 radius 1: neighbours move entries between +-2 and +-1
+        (["search", "--mode", "signed", "--k", "2", "--N", "5", "--m", "2",
+          "--radius", "1", "--colours", "3", "--seed", "2"],
+         "search_radius1_k2.json", 0),
         (["search", "--kind", "word", "--mode", "signed", "--k", "1",
           "--lengths", "2,3", "--radius", "1", "--colours", "3", "--seed", "5"],
          "search_word_radius1.json", 0),
@@ -543,6 +547,10 @@ def test_c10_cli_golden_files():
           "value-at-min-support", "--alphabet",
           '{"levels":[["0","a"]],"zero":"0"}'],
          "search_word_radius1_124.json", 0),
+        (["search", "--kind", "word", "--mode", "signed", "--k", "2",
+          "--lengths", "2,3", "--radius", "1", "--family", "support-size-mod",
+          "--alphabet", '{"levels":[["0","a"]],"zero":"0"}'],
+         "search_word_radius1_k2.json", 0),
         (["pipeline", "--mode", "signed", "--k", "1", "--lengths", "2,3",
           "--family", "support-size-mod", "--samples", "8"],
          "pipeline_signed.json", 0),

@@ -312,6 +312,17 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == f"error: the witness field {field!r} must be a JSON integer\n"
 
+    @pytest.mark.parametrize("rule", [5, None])
+    def test_verify_witness_rule_not_a_string_is_1(self, capfd, tmp_path, rule):
+        # `rule` may be absent, but when present it names the colouring
+        witness = self._witness_file(capfd, tmp_path, rule=rule)
+        code, out, err = run_inproc(
+            capfd, "verify", "--witness", witness, "--colours", "2",
+            "--family", "support-size-mod",
+        )
+        assert code == 1 and out == ""
+        assert err == "error: the witness field 'rule' must be a JSON string\n"
+
     def test_verify_word_witness_with_malformed_words_is_1(self, capfd, tmp_path):
         code, out, _ = run_inproc(
             capfd, "search", "--kind", "word", "--mode", "unsigned",

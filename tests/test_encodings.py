@@ -1,5 +1,6 @@
 """Vector/matrix encodings of word sequences and the decode construction."""
 
+import functools
 import itertools
 import random
 
@@ -20,13 +21,14 @@ from blockramsey import (
     psi_encode,
 )
 from blockramsey import encodings as E
-from blockramsey.encodings import concat_all, letter_level, substituted_pairs
+from blockramsey.encodings import letter_level, substituted_pairs
 from blockramsey.sampling import (
     random_satisfying_string,
     random_sequence,
     random_span_element,
 )
-from blockramsey.words import Letter, Var, VarWordSequence, Word, is_block_subseq, word
+from blockramsey.words import (Letter, Var, VarWordSequence, Word, concat,
+                              is_block_subseq, word)
 
 AB = bitstring_alphabet(3)
 E0 = (1,)  # the level-0 letter with bit 0 set
@@ -167,7 +169,7 @@ def _four_word_Y(mode="unsigned"):
 class TestPerfectSets:
     def test_letter_positions_forced(self):
         Y = _four_word_Y()
-        word_y = concat_all(Y)
+        word_y = functools.reduce(concat, Y.words)
         for i in range(2):
             desc = perfect_set(Y, i)
             forced = dict(desc.forced)
@@ -181,7 +183,7 @@ class TestPerfectSets:
         forced = dict(desc.forced)
         # variables of words 0 and 1 sit below the threshold |y0|+|y1|
         assert forced[0] == 0
-        word_y = concat_all(Y)
+        word_y = functools.reduce(concat, Y.words)
         for n in range(1, 3):
             if isinstance(word_y.symbols[n], Var):
                 assert forced[n] == 0

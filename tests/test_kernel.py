@@ -76,10 +76,11 @@ def test_grid_feasibility_and_neighbours_match_ball(k, N, spec, r):
             # the certificate's neighbour: the first member of the walk with
             # the colour is the least such member in canonical order
             for colour in {colouring(q) for q in ball}:
-                first = next(q for q in S.iter_vector_ball(p, N, radius)
-                             if kernel.colour_bit(q) == 1 << colour)
-                assert first == min((q for q in ball if colouring(q) == colour),
-                                    key=BlockVector.sort_key)
+                first = next(c for c in kernel.walk(_code(kernel, p.entries))
+                             if kernel._bits(c) == 1 << colour)
+                assert kernel.vector(first) == min(
+                    (q for q in ball if colouring(q) == colour),
+                    key=BlockVector.sort_key)
 
 
 def test_grid_with_more_colours_than_a_machine_word():

@@ -487,7 +487,7 @@ class TestBalls:
         assert walks.pop("x") == 2 and reads["x"] == 1 + 3
         assert set(walks.values()) == {1}
 
-    def test_word_search_colours_only_what_it_needs(self, monkeypatch):
+    def test_word_search_colours_only_what_it_needs(self):
         # the search stops each ball walk once every live colour is seen, so
         # it colours far fewer words than the balls of its span elements hold
         family = Colouring.family("value-at-min-support", 2, arity="word")
@@ -498,20 +498,14 @@ class TestBalls:
             calls += 1
             return family(w)
 
-        walked = set()
-        walk = S.iter_word_ball
-
-        def recorded(x, radius):
-            walked.add(x)
-            return walk(x, radius)
-
-        monkeypatch.setattr(S, "iter_word_ball", recorded)
         res = search_ghj(AB, 1, "signed", 2,
                          Colouring.custom(counted, 2, arity="word"),
                          (1, 2, 4), radius=1)
         digest = hashlib.sha256(
             S.canonical_json(res.to_dict()).encode()).hexdigest()[:16]
         assert digest == "379e79fd4d9a6b31"  # the whole-ball search's witness
+        # the span elements, each of whose balls the search walks
+        walked = [Word.from_dict(e["element"], AB) for e in res.certificate]
         full = sum(len(word_ball(x, 1)) for x in walked)
         assert 0 < calls < full
 
@@ -772,6 +766,53 @@ class TestCertificates:
         with pytest.raises(ValueError, match="'lengths' must be a JSON list "
                                              "of integers"):
             witness_from_dict(dict(res.to_dict(), lengths=lengths))
+
+    def test_radius1_certificates_recomputed_independently(self):
+        # every entry against the oracle span, the first on-colour member of
+        # the object-level ball walk (coloured by the colouring itself) and
+        # the object-level distance
+        from blockramsey.search import iter_vector_ball, iter_word_ball
+        from blockramsey.words import dist_words
+
+        def vector_runs():
+            for seed, (k, N), r in itertools.product(
+                    range(12), [(1, 4), (1, 5), (2, 3), (2, 4)], (2, 3)):
+                c = Colouring.seeded(seed, r)
+                res = search_approx(SearchProblem("signed", k, r, N, 2, 1), c)
+                if isinstance(res, Witness):
+                    yield (res, c, oracle_span_vectors(res.blocks),
+                           lambda x, N=N: iter_vector_ball(x, N, 1), linf_dist,
+                           BlockVector.from_dict)
+
+        def word_runs():
+            colourings = ([Colouring.seeded(s, 2, arity="word")
+                           for s in range(6)] +
+                          [Colouring.family(f, 2, arity="word")
+                           for f in FAMILIES])
+            for letters, k, lengths, c in itertools.product(
+                    [("0", "a"), ("0", "a", "b")], (1, 2), [(1, 2), (2, 3)],
+                    colourings):
+                alphabet = Alphabet.make([letters], "0")
+                res = search_ghj(alphabet, k, "signed", 2, c, lengths)
+                if isinstance(res, Witness):
+                    yield (res, c, S.oracle_span_words(res.words),
+                           lambda x: iter_word_ball(x, 1), dist_words,
+                           lambda d, a=alphabet: Word.from_dict(d, a))
+
+        witnesses = entries = 0
+        for res, c, elements, walk, dist, load in itertools.chain(
+                vector_runs(), word_runs()):
+            assert res.radius == 1
+            witnesses += 1
+            assert [e["element"] for e in res.certificate] == \
+                [x.to_dict() for x in elements]
+            for x, entry in zip(elements, res.certificate):
+                entries += 1
+                nb = next(y for y in walk(x) if c(y) == res.colour)
+                assert entry["colour"] == res.colour
+                assert entry["neighbour"] == nb.to_dict()
+                assert entry["dist"] == dist(x, load(entry["neighbour"]))
+        assert (witnesses, entries) == (160, 2560)
 
 
 class TestValidation:
