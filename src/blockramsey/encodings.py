@@ -104,10 +104,6 @@ class ParamMatrix:
     def to_dict(self) -> dict:
         return {"rows": self.rows, "cols": self.cols, "bits": sorted(map(list, self.bits))}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ParamMatrix":
-        return cls(data["rows"], data["cols"], frozenset(map(tuple, data["bits"])))
-
 
 def _check_pairs(Y: VarWordSequence):
     if len(Y) % 2 != 0 or len(Y) < 2:

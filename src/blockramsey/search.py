@@ -224,10 +224,6 @@ class SearchProblem:
         if self.radius == 1 and self.mode != SIGNED:
             raise ValueError("approximate search requires signed mode")
 
-    def to_dict(self) -> dict:
-        return {"mode": self.mode, "k": self.k, "r": self.r, "N": self.N,
-                "m": self.m, "radius": self.radius}
-
 
 @dataclass(frozen=True)
 class Witness:
@@ -435,27 +431,24 @@ class _VectorKernel:
         # starts[s]: the first place in `codes` whose min support is >= s
         self.codes, self.starts = full, [len(full) - size for size in sizes]
         self.index = {code: i for i, code in enumerate(full)}
+        self.order = self.index.__getitem__  # a code's canonical sort key
         # the images of the zero code, and the image values of one entry
         self._images = {0: [(0, j) for _, j in tetris_images((), self.k, self.mode)]}
         self._digits = {v: [sum(u for _, u in e) for e, _ in
                             tetris_images(((0, v),), self.k, self.mode)]
                         for v in values if v}
-        self._colour_bits = {}
+        self._bits = {}
         self._tail = _KEY_TAIL.format(self.k, self.mode).encode()
         self._states = {0: _fnv1a(_KEY_HEAD.encode())}
 
-    def decode(self, code: int) -> tuple[tuple[int, int], ...]:
-        """The (position, value) entries of the vector with this code."""
-        cell, B, lo = code + self.base, self.B, self.lo
-        entries = []
+    def decode(self, code: int) -> BlockVector:
+        """The vector with this code."""
+        cell, B, lo, entries = code + self.base, self.B, self.lo, []
         for n in range(len(self.powers)):
             cell, digit = divmod(cell, B)
             if digit + lo:
                 entries.append((n, digit + lo))
-        return tuple(entries)
-
-    def vector(self, code: int) -> BlockVector:
-        return BlockVector(self.k, self.mode, self.decode(code))
+        return BlockVector(self.k, self.mode, tuple(entries))
 
     def candidates(self, prefix: list[int]) -> range:
         """Places of the blocks that can follow the prefix: the universe is
@@ -481,18 +474,18 @@ class _VectorKernel:
             h = self._states[code] = _fnv1a(chunk.encode(), self._state(prefix))
         return h
 
-    def _bits(self, code: int) -> int:
-        bit = self._colour_bits.get(code)
+    def colour_bit(self, code: int) -> int:
+        bit = self._bits.get(code)
         if bit is None:
             if code not in self.index:
                 bit = 0
             elif self.colouring.seed is None:
-                bit = 1 << self.colouring(self.vector(code))
+                bit = 1 << self.colouring(self.decode(code))
             else:  # Colouring.seeded, resumed from the prefix's state
                 h = _fnv1a(self._tail, self._state(code))
                 h ^= self.colouring.seed & 0xFFFFFFFFFFFFFFFF
                 bit = 1 << _splitmix64(h) % self.colouring.r
-            self._colour_bits[code] = bit
+            self._bits[code] = bit
         return bit
 
     def ball(self, code: int) -> Iterable[int]:
@@ -506,39 +499,38 @@ class _VectorKernel:
                        if 0 <= cell // step % self.B + d < self.B]
                       for step in self.powers]
             cells = map(code.__add__, map(sum, itertools.product(*shifts)))
-        return map(self._bits, cells)
+        return map(self.colour_bit, cells)
 
     def walk(self, code: int) -> Iterable[int]:
         """The codes of iter_vector_ball's members around `code`, in order."""
         return (sum(v * self.powers[n] for n, v in q.entries) for q in
-                iter_vector_ball(self.vector(code), len(self.powers), self.radius))
+                iter_vector_ball(self.decode(code), len(self.powers), self.radius))
 
-    def variants(self, ci: int) -> list[tuple[int, int]]:
+    def pieces(self, slot: int, ci: int) -> list[tuple[int, int]]:
         """(code, tetris exponent) of every signed tetris image of a block."""
-        return self._variants(self.codes[ci])
+        return self._image_codes(self.codes[ci])
 
-    def _variants(self, code: int) -> list[tuple[int, int]]:
+    def _image_codes(self, code: int) -> list[tuple[int, int]]:
         out = self._images.get(code)
         if out is None:
             prefix, n, v = self._peel(code)
             step = self.powers[n]
             out = self._images[code] = [
                 (c + d * step, j)
-                for (c, j), d in zip(self._variants(prefix), self._digits[v])]
+                for (c, j), d in zip(self._image_codes(prefix), self._digits[v])]
         return out
 
 
-def _dfs(m: int, candidates: Callable, pieces: Callable, ball: Callable,
-         r: int):
+def _dfs(m: int, space, r: int):
     """Least m-slot prefix, in canonical order, whose span keeps a colour.
 
-    `candidates(prefix)` lists the next slot's candidates in canonical
-    order, and `pieces(slot, cand)` a candidate's distinct span pieces as
-    (value, exponent) pairs.  A candidate adds to its prefix's span the
-    elements `span_step` makes from its pieces (values are the integer
-    codes of vectors or the tuple codes of words), and exponent 0 marks a
-    span element.  `ball(value)` yields one colour bit (1 << c, or 0 for a
-    vector cell outside the universe) per member of a span element's ball.
+    `space.candidates(prefix)` lists the next slot's candidates in canonical
+    order, and `space.pieces(slot, cand)` a candidate's distinct span pieces
+    as (value, exponent) pairs.  A candidate adds to its prefix's span the
+    elements `span_step` makes from its pieces (integer codes of vectors or
+    tuple codes of words), and exponent 0 marks a span element.
+    `space.ball(value)` yields one colour bit (1 << c, or 0 for a vector
+    cell outside the universe) per member of a span element's ball.
 
     The search keeps, per element, the colour bits seen and a mark once its
     whole ball was seen.  A walk stops once every colour still alive is
@@ -557,15 +549,15 @@ def _dfs(m: int, candidates: Callable, pieces: Callable, ball: Callable,
     def extend(prefix, span, want):
         nonlocal nodes, dead_ends
         slot = len(prefix)
-        for cand in candidates(prefix):
+        for cand in space.candidates(prefix):
             nodes += 1
-            fresh = span_step(span, pieces(slot, cand))
+            fresh = span_step(span, space.pieces(slot, cand))
             colours = want
             for value, exp in fresh:
                 if exp == 0:
                     bits = seen.get(value, 0)
                     if bits & colours != colours and not bits & whole:
-                        for bit in ball(value):
+                        for bit in space.ball(value):
                             bits |= bit
                             if bits & colours == colours:
                                 break
@@ -594,19 +586,17 @@ def _dfs(m: int, candidates: Callable, pieces: Callable, ball: Callable,
     return Exhausted(nodes, dead_ends) if found is None else found
 
 
-def _certificate(elements, colour: int, walk: Optional[Callable],
-                 colour_bit: Callable, decode: Callable, dist: Callable) -> tuple:
-    """Each span element, by its code in witness order, with its evidence:
-    given a radius-1 walk (None at radius 0), the first code of `walk(code)`
-    with the colour's bit, decoded, and its distance."""
+def _certificate(space, span, colour: int) -> tuple:
+    """The span's elements (exponent 0) in `space.order`, each with its
+    evidence: at radius 1 the first code of `space.walk(code)` with the
+    colour's bit, decoded, 1 away unless it is the element (integer metrics)."""
     cert = []
-    for code in elements:
-        x = decode(code)
-        entry = {"element": x.to_dict(), "colour": colour}
-        if walk:
-            nb = decode(next(y for y in walk(code)
-                             if colour_bit(y) == 1 << colour))
-            entry.update(neighbour=nb.to_dict(), dist=dist(x, nb))
+    for code in sorted((v for v, exp in span if exp == 0), key=space.order):
+        entry = {"element": space.decode(code).to_dict(), "colour": colour}
+        if space.radius:
+            nb = next(y for y in space.walk(code)
+                      if space.colour_bit(y) == 1 << colour)
+            entry.update(neighbour=space.decode(nb).to_dict(), dist=int(nb != code))
         cert.append(entry)
     return tuple(cert)
 
@@ -616,21 +606,15 @@ def _vector_search(problem: SearchProblem, colouring: Colouring):
         raise ValueError("vector searches need a vector colouring")
     _check_colours(colouring, problem.r, "the search asks for")
     kernel = _VectorKernel(problem, colouring)
-    found = _dfs(problem.m, kernel.candidates,
-                 lambda slot, ci: kernel.variants(ci), kernel.ball, problem.r)
+    found = _dfs(problem.m, kernel, problem.r)
     if isinstance(found, Exhausted):
         return found
     prefix, span, colour = found
-    # the universe is in canonical order, so sorting by index sorts the span
-    members = sorted((code for code, j in span if j == 0), key=kernel.index.get)
-    cert = _certificate(members, colour, kernel.walk if problem.radius else None,
-                        kernel._bits, kernel.vector, linf_dist)
     return Witness(
-        kind="vector", mode=problem.mode, k=problem.k, r=problem.r,
-        radius=problem.radius, colour=colour, certificate=cert,
-        blocks=BlockSequence(tuple(kernel.vector(kernel.codes[i])
-                                   for i in prefix)),
-        N=problem.N, rule=colouring.rule_name(),
+        kind="vector", mode=problem.mode, k=problem.k, r=problem.r, N=problem.N,
+        radius=problem.radius, colour=colour, rule=colouring.rule_name(),
+        certificate=_certificate(kernel, span, colour),
+        blocks=BlockSequence(tuple(kernel.decode(kernel.codes[i]) for i in prefix)),
     )
 
 
@@ -662,22 +646,29 @@ def _slot_symbols(alphabet: Alphabet, k: int, mode: str,
 
 
 class _WordCodes:
-    """One word search's words as codes: the tuple of each symbol's place in
-    `table`, which holds every letter of the alphabet, then the variables,
-    in symbol_key order.  Codes hash as ints, and sorting codes by
-    (len, code) sorts their words by Word.sort_key.
+    """One word search's words as codes, its slots and its colour memo.  A
+    code is the tuple of each symbol's place in `table`: every letter of the
+    alphabet, then the variables, in symbol_key order.  Codes hash as ints,
+    and `order`, (len, code), sorts codes as Word.sort_key sorts their words.
+    A slot's words are made as the DFS first reaches them and kept: a copy
+    of a never-advanced tee re-reads the words made so far, then draws more.
 
     A radius-1 ball (signed words only) is a product over places, as in
-    iter_word_ball: a nonzero letter stays, and the zero letter or v_i
-    moves to the places of the indices within 1 of its own, sorted by
-    place; a member has full class when it holds v_k or v_-k.  The DFS and
-    the certificate walk it, and decode only the members they colour or pick.
+    iter_word_ball: a nonzero letter stays, and the zero letter or v_i moves
+    to the places of the indices within 1 of its own, sorted by place; a
+    member has full class when it holds v_k or v_-k.
     """
 
-    def __init__(self, alphabet: Alphabet, k: int, mode: str):
-        self.k, self.mode, self.alphabet = k, mode, alphabet
+    def __init__(self, alphabet: Alphabet, k: int, mode: str, radius: int,
+                 colouring: Colouring, lengths: tuple, letters: Optional[Iterable]):
+        self.k, self.mode, self.alphabet, self.radius = k, mode, alphabet, radius
+        self.colouring, self._pieces, self._bits = colouring, {}, {}
         self.table = _slot_symbols(alphabet, k, mode)
         self.place = {sym: p for p, sym in enumerate(self.table)}
+        symbols = _slot_symbols(alphabet, k, mode, letters)
+        self.slots = [itertools.tee(_full_class_words(k, mode, alphabet,
+                                                      [symbols] * ln), 1)[0]
+                      for ln in lengths]
         if mode == SIGNED:
             zero = alphabet.zero
             self.near = []
@@ -696,16 +687,39 @@ class _WordCodes:
     def code(self, symbols: tuple) -> tuple:
         return tuple([self.place[sym] for sym in symbols])
 
-    def word(self, code: tuple) -> Word:
+    def decode(self, code: tuple) -> Word:
         return Word(self.k, self.mode, self.alphabet,
                     tuple([self.table[p] for p in code]))
 
-    def ball(self, code: tuple, radius: int):
-        """The codes of iter_word_ball(self.word(code), radius), in its order."""
-        if not radius:
+    def order(self, code: tuple) -> tuple:
+        return len(code), code
+
+    def candidates(self, prefix: list) -> Iterable[Word]:
+        return copy.copy(self.slots[len(prefix)])
+
+    def pieces(self, slot: int, wrd: Word) -> list[tuple[tuple, int]]:
+        # rapid increase keeps the concatenations of distinct pieces distinct
+        out = self._pieces.get((slot, wrd))
+        if out is None:
+            out = self._pieces[slot, wrd] = [
+                (self.code(syms), exp) for syms, exp in W._slot_pieces(wrd, slot)]
+        return out
+
+    def colour_bit(self, code: tuple) -> int:
+        bit = self._bits.get(code)
+        if bit is None:
+            bit = self._bits[code] = 1 << self.colouring(self.decode(code))
+        return bit
+
+    def walk(self, code: tuple):
+        """The codes of iter_word_ball(self.decode(code), radius), in its order."""
+        if not self.radius:
             return (code,)
         return itertools.filterfalse(self.full.isdisjoint, itertools.product(
             *map(self.near.__getitem__, code)))
+
+    def ball(self, code: tuple):
+        return map(self.colour_bit, self.walk(code))
 
 
 def word_candidates(alphabet: Alphabet, k: int, mode: str, length: int,
@@ -741,37 +755,14 @@ def search_ghj(alphabet: Alphabet, k: int, mode: str, r: int,
     if colouring.arity != "word":
         raise ValueError("word searches need a word colouring")
     _check_colours(colouring, r, "the search asks for")
-    symbols = _slot_symbols(alphabet, k, mode, letters)
-    # a slot's words are made as the search first reaches them and kept: a
-    # copy of a never-advanced tee re-reads the words made so far, then
-    # draws new ones
-    slots = [itertools.tee(_full_class_words(k, mode, alphabet,
-                                             [symbols] * ln), 1)[0]
-             for ln in lengths]
-    codes = _WordCodes(alphabet, k, mode)
-    # rapid increase keeps the concatenations of distinct pieces distinct
-    pieces = functools.cache(lambda slot, wrd: [
-        (codes.code(syms), exp) for syms, exp in W._slot_pieces(wrd, slot)])
-    bits = {}  # code -> 1 << colour: a search colours each word once
-
-    def colour_bit(code: tuple) -> int:
-        bit = bits.get(code)
-        if bit is None:
-            bit = bits[code] = 1 << colouring(codes.word(code))
-        return bit
-
-    found = _dfs(len(lengths), lambda prefix: copy.copy(slots[len(prefix)]),
-                 pieces, lambda code: map(colour_bit, codes.ball(code, radius)),
-                 r)
+    space = _WordCodes(alphabet, k, mode, radius, colouring, lengths, letters)
+    found = _dfs(len(lengths), space, r)
     if isinstance(found, Exhausted):
         return found
     prefix, span, colour = found
-    elements = sorted(sorted(code for code, exp in span if exp == 0), key=len)
     return Witness(
         kind="word", mode=mode, k=k, r=r, radius=radius, colour=colour,
-        certificate=_certificate(
-            elements, colour, (lambda code: codes.ball(code, 1)) if radius
-            else None, colour_bit, codes.word, W.dist_words),
+        certificate=_certificate(space, span, colour),
         words=VarWordSequence(tuple(prefix)), lengths=lengths,
         rule=colouring.rule_name(),
     )
@@ -958,8 +949,10 @@ class PipelineBounds:
     def __post_init__(self):
         if len(self.lengths) % 2 != 0 or not self.lengths:
             raise ValueError("the word search needs an even number of lengths")
-        if self.letter_level < 0 or self.sample_count < 0:
-            raise ValueError("letter_level and sample_count must be nonnegative")
+        if self.letter_level < 0:
+            raise ValueError("letter_level must be nonnegative")
+        if self.sample_count < 1:  # no sample would make a pass that checked nothing
+            raise ValueError("sample_count must be at least 1")
 
 
 @dataclass(frozen=True)

@@ -85,12 +85,6 @@ class BlockVector:
                              "(position, value) integer pairs")
         return cls(k, mode, tuple(items))
 
-    def value_at(self, n: int) -> int:
-        for pos, v in self.entries:
-            if pos == n:
-                return v
-        return 0
-
     def support(self) -> tuple[int, ...]:
         return tuple(n for n, _ in self.entries)
 
@@ -133,10 +127,6 @@ class BlockSequence:
         for a, b in zip(self.blocks, self.blocks[1:]):
             if not a.max_support < b.min_support:
                 raise ValueError("blocks must be in strict block order")
-
-    @classmethod
-    def make(cls, blocks: Iterable[BlockVector]) -> "BlockSequence":
-        return cls(tuple(blocks))
 
     @property
     def k(self) -> int:
@@ -202,9 +192,6 @@ class RealVector:
 
     def sup_norm(self) -> float:
         return max((abs(v) for _, v in self.entries), default=0.0)
-
-    def to_dict(self) -> dict:
-        return {"entries": [[n, v] for n, v in self.entries]}
 
 
 def support(p: BlockVector) -> tuple[int, ...]:

@@ -337,13 +337,6 @@ class VarWordSequence:
     def __iter__(self):
         return iter(self.words)
 
-    def subsequence(self, positions: Iterable[int]) -> "VarWordSequence":
-        positions = tuple(positions)
-        return VarWordSequence(
-            tuple(self.words[p] for p in positions),
-            tuple(self.indices[p] for p in positions),
-        )
-
     def to_list(self) -> list:
         return [w.to_dict() for w in self.words]
 

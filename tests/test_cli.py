@@ -467,10 +467,8 @@ class TestExitCodes:
          "a matrix needs nonnegative rows and cols"),
         (("span", "--blocks", '[{"entries":[[0,1]]}]', "--limit", "-1"),
          "--limit -1 is negative"),
-        (("pipeline", "--samples", "-3"),
-         "letter_level and sample_count must be nonnegative"),
-        (("pipeline", "--letter-level", "-2"),
-         "letter_level and sample_count must be nonnegative"),
+        (("pipeline", "--samples", "-3"), "sample_count must be at least 1"),
+        (("pipeline", "--letter-level", "-2"), "letter_level must be nonnegative"),
         # a negative column count once printed nothing and exited 0
         (("perfect-sets", "--words", PAIR_WORDS, "--cols", "-2"),
          "column count -2 is negative"),
@@ -481,6 +479,8 @@ class TestExitCodes:
          "column index 2 is not below the column count 2"),
         (("perfect-sets", "--words", PAIR_WORDS, "--index", "0", "--cols", "-2"),
          "column count -2 is negative"),
+        # no sample once printed a pass that checked nothing, exit 0
+        (("pipeline", "--samples", "0"), "sample_count must be at least 1"),
     ])
     def test_negative_count_or_index_is_1(self, capfd, args, message):
         # each once gave a traceback or a silently wrong result

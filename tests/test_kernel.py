@@ -77,8 +77,8 @@ def test_grid_feasibility_and_neighbours_match_ball(k, N, spec, r):
             # the colour is the least such member in canonical order
             for colour in {colouring(q) for q in ball}:
                 first = next(c for c in kernel.walk(_code(kernel, p.entries))
-                             if kernel._bits(c) == 1 << colour)
-                assert kernel.vector(first) == min(
+                             if kernel.colour_bit(c) == 1 << colour)
+                assert kernel.decode(first) == min(
                     (q for q in ball if colouring(q) == colour),
                     key=BlockVector.sort_key)
 
@@ -117,7 +117,7 @@ def test_codes_follow_the_enumerated_universe(mode, k, N):
     assert kernel.index == {c: i for i, c in enumerate(kernel.codes)}
     assert list(kernel.candidates([])) == list(range(len(universe)))
     for i, (code, p) in enumerate(zip(kernel.codes, universe)):
-        assert kernel.vector(code) == p
+        assert kernel.decode(code) == p
         assert list(kernel.candidates([i])) == [
             j for j, q in enumerate(universe) if q.min_support > p.max_support]
 
@@ -127,7 +127,7 @@ def test_variants_are_the_tetris_images(mode, k, N):
     kernel = _bare_kernel(mode, k, N)
     signs = (1, -1) if mode == "signed" else (1,)
     for ci, p in enumerate(enumerate_universe(k, N, mode)):
-        assert kernel.variants(ci) == [
+        assert kernel.pieces(0, ci) == [
             (_code(kernel, _tetris_entries(p.entries, j, sg)), j)
             for j in range(k) for sg in signs]
 
@@ -138,8 +138,8 @@ def test_variants_built_from_prefixes_match_the_decoded_images(mode, k, N):
     # kernel asked last block first meets each prefix in another order
     kernel = _bare_kernel(mode, k, N)
     for ci in reversed(range(len(kernel.codes))):
-        images = tetris_images(kernel.decode(kernel.codes[ci]), k, mode)
-        assert kernel.variants(ci) == [(_code(kernel, e), j) for e, j in images]
+        images = tetris_images(kernel.decode(kernel.codes[ci]).entries, k, mode)
+        assert kernel.pieces(0, ci) == [(_code(kernel, e), j) for e, j in images]
 
 
 # seeds -1 and 2**70 + 5 lie outside [0, 2**64) and exercise the seed mask
@@ -154,7 +154,7 @@ def test_seeded_colours_resumed_from_prefixes_match_colouring_seeded(
         colouring.fn = lambda *elem: pytest.fail("the scalar colour was called")
         kernel = _VectorKernel(SearchProblem(mode, k, r, N, 1), colouring)
         for code in reversed(kernel.codes):
-            assert kernel._bits(code) == 1 << reference(kernel.vector(code))
+            assert kernel.colour_bit(code) == 1 << reference(kernel.decode(code))
 
 
 @pytest.mark.parametrize("mode,k,N", UNIVERSES)

@@ -8,6 +8,7 @@ import itertools
 import json
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -38,11 +39,19 @@ from blockramsey.search import (
     witness_from_dict,
     word_ball,
 )
-from blockramsey.encodings import bitstring_alphabet, phi_encode, psi_encode
+from blockramsey.encodings import (
+    ParamMatrix,
+    bitstring_alphabet,
+    phi_encode,
+    psi_encode,
+)
+from blockramsey.sampling import random_satisfying_string, random_span_element
 from blockramsey.words import Letter, Var, VarWordSequence, Word, classify
 from blockramsey.words import word as mkword
 
 AB = Alphabet.make([["0", "a"]], "0")
+VECTOR_C = Colouring.family("support-size-mod", 2)
+WORD_C = Colouring.family("support-size-mod", 2, arity="word")
 
 
 def spans_of_pair(p, q, colouring):
@@ -357,12 +366,26 @@ class TestColourings:
             assert c(w) in (0, 1)
 
     def test_vector_matrix_families(self):
-        from blockramsey import ParamMatrix
         seq = BlockSequence((BlockVector.make(1, "unsigned", {0: 1}),
                              BlockVector.make(1, "unsigned", {1: 1})))
         M = ParamMatrix(2, 1, frozenset({(0, 0)}))
         count = Colouring.family("support-size-mod", 2, arity="vector_matrix")
         assert count(seq, M) == 0  # two blocks
+
+    @pytest.mark.parametrize("family,colour", [
+        ("min-position-mod", 1),  # the first block's first position
+        ("value-at-min-support", 6),  # its value there, -1, mod 7
+        ("support-size-mod", 3),  # three blocks
+        # the first block's 2*(-1) + 3*1, plus (n+1)*(i+1) per bit: 1*2 + 2*1
+        ("weighted-sum-mod", 5),
+    ])
+    def test_vector_matrix_family_values(self, family, colour):
+        seq = BlockSequence((BlockVector.make(1, "signed", {1: -1, 2: 1}),
+                             BlockVector.make(1, "signed", {4: 1}),
+                             BlockVector.make(1, "signed", {5: -1})))
+        M = ParamMatrix(3, 2, frozenset({(0, 1), (1, 0)}))
+        c = Colouring.family(family, 7, arity="vector_matrix")
+        assert c(seq, M) == colour
 
     @pytest.mark.parametrize("make,rule", [
         (lambda: Colouring.family("support-size-mod", 2), "family:support-size-mod"),
@@ -476,7 +499,9 @@ class TestBalls:
             return [(("want", i), 0), ("x", 0),
                     *((("has", i, c), 0) for c in range(3)), (("end", i), 0)]
 
-        res = S._dfs(1, lambda prefix: range(len(wants)), pieces, ball, 3)
+        space = SimpleNamespace(candidates=lambda prefix: range(len(wants)),
+                                pieces=pieces, ball=ball)
+        res = S._dfs(1, space, 3)
         assert res == Exhausted(6, 6)
         answers = [sum(1 << c for c in range(3) if reads["has", i, c] == 2)
                    for i in range(len(wants))]
@@ -518,11 +543,11 @@ class TestWordCodes:
     @pytest.mark.parametrize("letters", [("0", "a"), ("0", "a", "b")])
     def test_code_ball_is_iter_word_ball(self, letters, k, radius):
         alphabet = Alphabet.make([letters], "0")
-        codes = S._WordCodes(alphabet, k, "signed")
+        codes = S._WordCodes(alphabet, k, "signed", radius, None, (), None)
         for length in range(1, 5):
             for x in S.word_candidates(alphabet, k, "signed", length):
-                got = codes.ball(codes.code(x.symbols), radius)
-                assert list(map(codes.word, got)) == \
+                got = codes.walk(codes.code(x.symbols))
+                assert list(map(codes.decode, got)) == \
                     list(S.iter_word_ball(x, radius))
 
     @pytest.mark.parametrize("k,mode", [(1, "signed"), (2, "unsigned")])
@@ -535,10 +560,10 @@ class TestWordCodes:
         words = [Word(k, mode, alphabet, syms) for n in (1, 2, 3)
                  for syms in itertools.product(symbols, repeat=n)]
         random.Random(0).shuffle(words)
-        codes = S._WordCodes(alphabet, k, mode)
+        codes = S._WordCodes(alphabet, k, mode, 0, None, (), None)
         # the order the word search lists its witness's span elements in
-        got = sorted(sorted(codes.code(w.symbols) for w in words), key=len)
-        assert list(map(codes.word, got)) == sorted(words, key=Word.sort_key)
+        got = sorted((codes.code(w.symbols) for w in words), key=codes.order)
+        assert list(map(codes.decode, got)) == sorted(words, key=Word.sort_key)
 
 
 def test_unsigned_1248_word_witness_is_pinned():
@@ -715,6 +740,41 @@ class TestPipeline:
                "samples": res.samples, "failures": list(res.failures)}
         digest = hashlib.sha256(S.canonical_json(doc).encode()).hexdigest()[:16]
         assert digest == "7fee66292c7e83ef"  # recorded when every draw was checked
+
+    @pytest.mark.parametrize("mode,reason", [
+        ("unsigned", "colour mismatch"),
+        ("signed", "no on-colour word within distance 1"),
+    ])
+    def test_an_off_colour_point_is_reported(self, mode, reason):
+        # a constant-0 colouring lifts to colour 0 on every word, so each
+        # point of the derived product fails when checked against colour 1
+        const = Colouring.custom(lambda A, M: 0, 2, arity="vector_matrix",
+                                 name="constant")
+        res = parametrized_pipeline(
+            const, PipelineBounds(mode=mode, k=1, lengths=(2, 3), sample_count=5))
+        rng = random.Random(0)
+        a = random_span_element(rng, res.pair.B)
+        deltas = tuple(random_satisfying_string(rng, desc)
+                       for desc in res.pair.perfect_sets)
+        lifted = S._lift(const, res.cols)
+        assert S._check_sample(res.pair, a, deltas, lifted, 0) is None
+        assert S._check_sample(res.pair, a, deltas, lifted, 1) == \
+            {"sample": a.to_dict(), "reason": reason}
+
+    @pytest.mark.parametrize("name,reason", [
+        ("phi_encode", "vector encode mismatch"),
+        ("psi_encode", "matrix encode mismatch"),
+    ])
+    def test_an_encoding_that_disagrees_is_reported(self, monkeypatch, name,
+                                                    reason):
+        # an encoding whose result equals no decoded point fails every draw
+        monkeypatch.setattr(S, name, lambda *args: SimpleNamespace(blocks=()))
+        c = Colouring.custom(lambda A, M: 0, 2, arity="vector_matrix",
+                             name="constant")
+        res = parametrized_pipeline(
+            c, PipelineBounds(mode="unsigned", k=1, lengths=(2, 3),
+                              sample_count=5))
+        assert [f["reason"] for f in res.failures] == [reason] * 5
 
     def test_a_failing_point_is_listed_once_per_draw(self, monkeypatch):
         # the (2, 3) product has few points, so the 25 draws repeat them;
@@ -956,6 +1016,31 @@ class TestValidation:
             SearchProblem(mode="unsigned", k=1, r=2, N=3, m=2, radius=1)
         with pytest.raises(ValueError):
             SearchProblem(mode="signed", k=1, r=2, N=3, m=2, radius=2)
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: search_approx(SearchProblem("unsigned", 1, 2, 3, 2), VECTOR_C),
+         "search_approx requires signed mode"),
+        (lambda: search_ghj(AB, 1, "signed", 2, WORD_C, ()),
+         "need at least one generator length"),
+        (lambda: search_ghj(AB, 1, "unsigned", 2, WORD_C, (1, 2), radius=1),
+         "approximate word search requires signed mode"),
+        (lambda: search_ghj(AB, 1, "signed", 2, VECTOR_C, (1, 2)),
+         "word searches need a word colouring"),
+        (lambda: PipelineBounds(mode="unsigned", k=1, lengths=(1, 2, 4)),
+         "the word search needs an even number of lengths"),
+        (lambda: PipelineBounds(mode="unsigned", k=1, lengths=(1, 2),
+                                sample_count=0),
+         "sample_count must be at least 1"),
+        (lambda: parametrized_pipeline(
+            WORD_C, PipelineBounds(mode="unsigned", k=1, lengths=(1, 2))),
+         "the pipeline needs a (vector sequence, matrix) colouring"),
+    ], ids=["approx-unsigned", "no-lengths", "word-unsigned-radius1",
+            "word-given-vector-colouring", "odd-lengths", "no-samples",
+            "pipeline-given-word-colouring"])
+    def test_refusals_name_their_cause(self, call, message):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
 
     def test_search_mode_guards(self):
         c = Colouring.family("support-size-mod", 2)

@@ -328,7 +328,8 @@ class TestSpans:
         rng = random.Random(f"{mode}-{k}-{lengths}-{positions}")
         X = random_sequence(rng, alphabet, k, mode, lengths)
         if positions is not None:
-            X = X.subsequence(positions)
+            # the generators at `positions`, keeping their global indices
+            X = VarWordSequence(tuple(X.words[p] for p in positions), positions)
             assert X.indices[0] == 1
         spans = {"words": span_words, "letters": span_letters}
         if mode == "signed":
