@@ -160,7 +160,6 @@ class PerfectSetDescription:
 
     index: int
     length: int
-    intervals: tuple[tuple[int, int], ...]
     forced: tuple[tuple[int, int], ...]
     classes: tuple[tuple[int, ...], ...]
 
@@ -231,9 +230,7 @@ def perfect_set(Y: VarWordSequence, i: int) -> PerfectSetDescription:
             forced.append((n, bit_at(bit_letter(sym.token), i)))
         elif n not in free:
             forced.append((n, 0))
-    return PerfectSetDescription(
-        i, total, tuple(intervals), tuple(forced), tuple(classes)
-    )
+    return PerfectSetDescription(i, total, tuple(forced), tuple(classes))
 
 
 def product_to_sigmas(Y: VarWordSequence, deltas: Sequence[Sequence[int]]) -> list:
@@ -244,6 +241,7 @@ def product_to_sigmas(Y: VarWordSequence, deltas: Sequence[Sequence[int]]) -> li
     word's letter is the zero letter (its variables are pinned to 0 in
     every column).
     """
+    _check_pairs(Y)
     descs = [perfect_set(Y, i) for i in range(len(deltas))]
     for desc, delta in zip(descs, deltas):
         if not desc.satisfies(delta):

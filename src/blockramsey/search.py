@@ -49,7 +49,6 @@ from .encodings import (
 from .sampling import random_satisfying_string, random_span_element
 from .vectors import (
     MAX_UNIVERSE_CELLS,
-    MODES,
     SIGNED,
     UNSIGNED,
     BlockSequence,
@@ -57,6 +56,7 @@ from .vectors import (
     _block_image,
     _is_int,
     check_cap,
+    check_mode_k,
     json_field,
     linf_dist,
     span_step,
@@ -199,10 +199,23 @@ class Colouring:
         return self.rule
 
 
-def _check_colours(colouring: Colouring, r: int, what: str):
+def _check_request(mode: str, k: int, radius: int) -> None:
+    """Refuse a search or witness the statements do not cover: an unknown
+    mode, k below 1, a radius other than 0 or 1, or radius 1 unsigned."""
+    check_mode_k(mode, k)
+    if radius not in (0, 1):
+        raise ValueError(f"radius {json.dumps(radius, default=repr)} is not 0 or 1")
+    if radius == 1 and mode != SIGNED:
+        raise ValueError("radius 1 requires signed mode")
+
+
+def _check_colouring(colouring: Colouring, arity: str, r: int, what: str) -> None:
+    """Refuse a colouring of another arity or with another number of colours."""
+    if colouring.arity != arity:
+        raise ValueError(f"{what} needs a {arity} colouring")
     if colouring.r != r:
         raise ValueError(f"the colouring has {colouring.r} colours but {what} "
-                         f"r={r}")
+                         f"has r={r}")
 
 
 @dataclass(frozen=True)
@@ -215,14 +228,9 @@ class SearchProblem:
     radius: int = 0
 
     def __post_init__(self):
-        if self.mode not in (UNSIGNED, SIGNED):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        _check_request(self.mode, self.k, self.radius)
         if self.m < 1 or self.N < self.m:
             raise ValueError("need N >= m >= 1")
-        if self.radius not in (0, 1):
-            raise ValueError("radius must be 0 or 1")
-        if self.radius == 1 and self.mode != SIGNED:
-            raise ValueError("approximate search requires signed mode")
 
 
 @dataclass(frozen=True)
@@ -272,10 +280,9 @@ def _coordinate_values(k: int, N: int, mode: str) -> range:
     Refuses, before anything is enumerated, a request whose value grid
     (2k+1)^N (signed) or (k+1)^N (unsigned) exceeds MAX_UNIVERSE_CELLS.
     """
+    check_mode_k(mode, k)
     if N < 1:
         raise ValueError("N must be positive")
-    if k < 1:
-        raise ValueError("k must be at least 1")
     values = range(0, k + 1) if mode == UNSIGNED else range(-k, k + 1)
     cells = 1
     for _ in range(N):
@@ -602,9 +609,7 @@ def _certificate(space, span, colour: int) -> tuple:
 
 
 def _vector_search(problem: SearchProblem, colouring: Colouring):
-    if colouring.arity != "vector":
-        raise ValueError("vector searches need a vector colouring")
-    _check_colours(colouring, problem.r, "the search asks for")
+    _check_colouring(colouring, "vector", problem.r, "the search")
     kernel = _VectorKernel(problem, colouring)
     found = _dfs(problem.m, kernel, problem.r)
     if isinstance(found, Exhausted):
@@ -741,20 +746,15 @@ def search_ghj(alphabet: Alphabet, k: int, mode: str, r: int,
     restricts the letters available for generator content (substitution
     letters still follow the per-slot level grading).
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    if radius is None:
+        radius = 0 if mode == UNSIGNED else 1
+    _check_request(mode, k, radius)
     lengths = tuple(lengths)
     if not lengths:
         raise ValueError("need at least one generator length")
     if not W._rapid(lengths):
         raise ValueError("generator lengths must increase rapidly")
-    if radius is None:
-        radius = 0 if mode == UNSIGNED else 1
-    if radius == 1 and mode != SIGNED:
-        raise ValueError("approximate word search requires signed mode")
-    if colouring.arity != "word":
-        raise ValueError("word searches need a word colouring")
-    _check_colours(colouring, r, "the search asks for")
+    _check_colouring(colouring, "word", r, "the search")
     space = _WordCodes(alphabet, k, mode, radius, colouring, lengths, letters)
     found = _dfs(len(lengths), space, r)
     if isinstance(found, Exhausted):
@@ -861,22 +861,18 @@ def verify_witness(witness: Witness, colouring: Colouring) -> VerifyReport:
     gives the same report.
 
     A malformed request raises ValueError instead: a witness whose mode is
-    unknown, whose radius is not 0 or 1, or whose radius is 1 outside signed
-    mode; a colouring with another number of colours than the witness; a
-    colour outside [0, r); a k or mode other than the blocks' or words'; a
-    vector witness with a block position outside [0, N), or of radius 1
-    over a universe the search would refuse; word lengths other than
-    `lengths`; or a witness whose independent span would take more than
+    unknown, whose k is below 1, whose radius is not 0 or 1, or whose radius
+    is 1 outside signed mode; a colouring of another kind than the witness
+    (a word colouring for a vector witness) or with another number of
+    colours; a colour outside [0, r); a k or mode other than the blocks' or
+    words'; a vector witness with a block position outside [0, N), or of
+    radius 1 over a universe the search would refuse; word lengths other
+    than `lengths`; or a witness whose independent span would take more than
     MAX_UNIVERSE_CELLS candidate pieces (summed over its blocks or
     generators) or piece products to enumerate, refused before any is made.
     """
-    if witness.mode not in MODES:
-        raise ValueError(f"unknown witness mode {json.dumps(witness.mode)}")
-    if witness.radius not in (0, 1):
-        raise ValueError(f"witness radius {witness.radius} is not 0 or 1")
-    if witness.radius == 1 and witness.mode != SIGNED:
-        raise ValueError("a radius-1 witness requires signed mode")
-    _check_colours(colouring, witness.r, "the witness was found with")
+    _check_request(witness.mode, witness.k, witness.radius)
+    _check_colouring(colouring, witness.kind, witness.r, "the witness")
     if not 0 <= witness.colour < witness.r:
         raise ValueError(f"witness colour {witness.colour} lies outside "
                          f"[0, {witness.r})")
@@ -922,9 +918,10 @@ def verify_witness(witness: Witness, colouring: Colouring) -> VerifyReport:
     )
 
 
-def _lift(colouring: Colouring, cols: int) -> Callable[[Word], int]:
+def _lift(colouring: Colouring, cols: int) -> Colouring:
     """The word colouring w -> colouring(phi_encode(X), psi_encode(X, cols))
-    for X = (w,), with both encodings read straight off the word."""
+    for X = (w,), with both encodings read straight off the word.  It calls
+    `colouring.fn`: its own call checks the colour against the same r."""
     letter_bits = functools.cache(lambda token: _set_bits(token, cols))
 
     def lifted(wrd: Word) -> int:
@@ -932,9 +929,9 @@ def _lift(colouring: Colouring, cols: int) -> Callable[[Word], int]:
         bits = frozenset((n, i) for n, sym in enumerate(wrd.symbols)
                          if isinstance(sym, Letter)
                          for i in letter_bits(sym.token))
-        return colouring(BlockSequence((block,)),
-                         ParamMatrix(len(wrd), cols, bits))
-    return lifted
+        return colouring.fn(BlockSequence((block,)),
+                            ParamMatrix(len(wrd), cols, bits))
+    return Colouring.custom(lifted, colouring.r, arity="word", name="lifted")
 
 
 @dataclass(frozen=True)
@@ -947,6 +944,7 @@ class PipelineBounds:
     seed: int = 0
 
     def __post_init__(self):
+        check_mode_k(self.mode, self.k)
         if len(self.lengths) % 2 != 0 or not self.lengths:
             raise ValueError("the word search needs an even number of lengths")
         if self.letter_level < 0:
@@ -969,7 +967,7 @@ class PipelineResult:
 
 
 def _check_sample(pair: DerivedPair, a: BlockVector, deltas: tuple,
-                  lifted: Callable[[Word], int], colour: int) -> Optional[dict]:
+                  lifted: Colouring, colour: int) -> Optional[dict]:
     """Decode one point (a, deltas) of the derived product back to a word and
     check it; the failure record, or None when the point passes."""
     Y, cols = pair.source, len(deltas)
@@ -1007,17 +1005,14 @@ def parametrized_pipeline(colouring: Colouring, bounds: PipelineBounds):
     Each distinct drawn point is checked once; a failing point is listed
     once per draw, and `samples` counts draws.
     """
-    if colouring.arity != "vector_matrix":
-        raise ValueError("the pipeline needs a (vector sequence, matrix) colouring")
+    _check_colouring(colouring, "vector_matrix", colouring.r, "the pipeline")
     depth = max(bounds.letter_level, len(bounds.lengths) - 1)
     alphabet = bitstring_alphabet(depth)
     cols = depth + 1
     content = [t for t in alphabet.top if len(t) <= bounds.letter_level + 1]
     lifted = _lift(colouring, cols)
-    word_colouring = Colouring.custom(lifted, colouring.r, arity="word",
-                                      name="lifted")
     found = search_ghj(alphabet, bounds.k, bounds.mode, colouring.r,
-                       word_colouring, bounds.lengths, letters=content)
+                       lifted, bounds.lengths, letters=content)
     if isinstance(found, Exhausted):
         return found
     pair = derived_pair(found.words, cols)

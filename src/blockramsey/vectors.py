@@ -37,6 +37,14 @@ def check_cap(count: int, what: str) -> None:
         raise ValueError(f"{count} {what} exceed the cap of {MAX_UNIVERSE_CELLS}")
 
 
+def check_mode_k(mode, k) -> None:
+    """Refuse, in one line, a mode other than unsigned or signed, or a k below 1."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {json.dumps(mode, default=repr)}")
+    if k < 1:
+        raise ValueError("k must be at least 1")
+
+
 @dataclass(frozen=True)
 class BlockVector:
     """Sparse vector with magnitude bound k, stored as ordered (position, value) pairs."""
@@ -46,10 +54,7 @@ class BlockVector:
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {json.dumps(self.mode, default=repr)}")
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
+        check_mode_k(self.mode, self.k)
         if not self.entries:
             raise ValueError("a block vector has nonempty support")
         prev = -1

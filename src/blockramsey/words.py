@@ -28,8 +28,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .vectors import (MODES, SIGNED, UNSIGNED, _is_int, check_cap, json_field,
-                      json_objects, span_combinations)
+from .vectors import (SIGNED, UNSIGNED, _is_int, check_cap, check_mode_k,
+                      json_field, json_objects, span_combinations)
 
 
 def letter_key(token):
@@ -130,10 +130,7 @@ class Word:
     symbols: tuple
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {json.dumps(self.mode, default=repr)}")
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
+        check_mode_k(self.mode, self.k)
         if not self.symbols:
             raise ValueError("words are nonempty")
         top = self.alphabet.top

@@ -125,10 +125,10 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("edits,message", [
-        ({"mode": "foo"}, 'unknown witness mode "foo"'),
-        ({"radius": 7}, "witness radius 7 is not 0 or 1"),
-        ({"mode": "unsigned"}, "a radius-1 witness requires signed mode"),
-    ])
+        ({"mode": "foo"}, 'unknown mode "foo"'),
+        ({"radius": 7}, "radius 7 is not 0 or 1"),
+        ({"mode": "unsigned"}, "radius 1 requires signed mode"),
+    ], ids=["mode-foo", "radius-7", "unsigned-r1"])
     def test_verify_witness_mode_or_radius_out_of_range_is_1(
             self, capfd, tmp_path, edits, message):
         # these witnesses once got a verdict: "passed": true, exit 0

@@ -272,6 +272,12 @@ class TestProductToSigmas:
         with pytest.raises(ValueError):
             product_to_sigmas(Y, [tuple(bad)])
 
+    def test_odd_length_rejected_without_columns(self):
+        # no column builds no perfect set, so this once returned [()]
+        Y = VarWordSequence(_four_word_Y().words[:3])
+        with pytest.raises(ValueError, match="even length"):
+            product_to_sigmas(Y, [])
+
 
 class TestDecode:
     def test_identity_decode(self):

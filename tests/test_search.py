@@ -52,6 +52,104 @@ from blockramsey.words import word as mkword
 AB = Alphabet.make([["0", "a"]], "0")
 VECTOR_C = Colouring.family("support-size-mod", 2)
 WORD_C = Colouring.family("support-size-mod", 2, arity="word")
+MATRIX_C = Colouring.family("support-size-mod", 2, arity="vector_matrix")
+
+
+@pytest.fixture(scope="module")
+def witnesses():
+    """An unsigned radius-0 witness of each kind, with its colouring."""
+    word_c = Colouring.family("value-at-min-support", 2, arity="word")
+    return {"vector": (search_exact(SearchProblem("unsigned", 1, 2, 4, 2),
+                                    VECTOR_C), VECTOR_C),
+            "word": (search_ghj(AB, 1, "unsigned", 2, word_c, (1,)), word_c)}
+
+
+def _verify(kind, colouring=None, **edits):
+    """verify_witness on the kind's witness with the edits, under its own
+    colouring or the one given."""
+    def call(witnesses):
+        res, own = witnesses[kind]
+        return verify_witness(dataclasses.replace(res, **edits), colouring or own)
+    return call
+
+
+def _on_both_kinds(**edits):
+    return {f"verify-{kind}": _verify(kind, **edits) for kind in ("vector", "word")}
+
+
+def _bad_radius(radius):
+    return {
+        "SearchProblem": lambda w: SearchProblem("signed", 1, 2, 3, 2, radius),
+        "search_ghj": lambda w: search_ghj(AB, 1, "signed", 2, WORD_C, (1, 2),
+                                           radius=radius),
+        **_on_both_kinds(radius=radius),
+    }
+
+
+# (rule, its one message, {entry point: a call that breaks the rule})
+BAD_REQUESTS = [
+    ("mode", 'unknown mode "foo"', {
+        "BlockVector": lambda w: BlockVector(1, "foo", ((0, 1),)),
+        "Word": lambda w: Word(1, "foo", AB, (Var(1),)),
+        "SearchProblem": lambda w: SearchProblem("foo", 1, 2, 3, 2),
+        "enumerate_universe": lambda w: enumerate_universe(1, 3, "foo"),
+        "search_ghj": lambda w: search_ghj(AB, 1, "foo", 2, WORD_C, (1, 2)),
+        "PipelineBounds": lambda w: PipelineBounds("foo", 1, (1, 2)),
+        **_on_both_kinds(mode="foo"),
+    }),
+    ("k0", "k must be at least 1", {
+        "BlockVector": lambda w: BlockVector(0, "signed", ((0, 1),)),
+        "Word": lambda w: Word(0, "signed", AB, (Var(1),)),
+        "SearchProblem": lambda w: SearchProblem("signed", 0, 2, 3, 2),
+        "enumerate_universe": lambda w: enumerate_universe(0, 3, "signed"),
+        "search_ghj": lambda w: search_ghj(AB, 0, "signed", 2, WORD_C, (1, 2)),
+        "PipelineBounds": lambda w: PipelineBounds("signed", 0, (1, 2)),
+        **_on_both_kinds(k=0),
+    }),
+    ("radius2", "radius 2 is not 0 or 1", _bad_radius(2)),
+    ("radius-1", "radius -1 is not 0 or 1", _bad_radius(-1)),
+    ("unsigned-radius1", "radius 1 requires signed mode", {
+        "SearchProblem": lambda w: SearchProblem("unsigned", 1, 2, 3, 2, 1),
+        "search_ghj": lambda w: search_ghj(AB, 1, "unsigned", 2, WORD_C, (1, 2),
+                                           radius=1),
+        **_on_both_kinds(radius=1),
+    }),
+    ("search-arity", "the search needs a vector colouring", {
+        f"{name}-given-{c.arity}": lambda w, search=search, radius=radius, c=c: search(
+            SearchProblem("signed", 1, 2, 3, 2, radius), c)
+        for name, search, radius in (("exact", search_exact, 0),
+                                     ("approx", search_approx, 1))
+        for c in (WORD_C, MATRIX_C)
+    }),
+    ("search-arity", "the search needs a word colouring", {
+        f"search_ghj-given-{c.arity}": lambda w, c=c: search_ghj(
+            AB, 1, "signed", 2, c, (1, 2))
+        for c in (VECTOR_C, MATRIX_C)
+    }),
+    ("witness-arity", "the witness needs a vector colouring", {
+        f"verify-vector-given-{c.arity}": _verify("vector", c) for c in (WORD_C, MATRIX_C)
+    }),
+    ("witness-arity", "the witness needs a word colouring", {
+        f"verify-word-given-{c.arity}": _verify("word", c) for c in (VECTOR_C, MATRIX_C)
+    }),
+    ("pipeline-arity", "the pipeline needs a vector_matrix colouring", {
+        f"given-{c.arity}": lambda w, c=c: parametrized_pipeline(
+            c, PipelineBounds("unsigned", 1, (1, 2)))
+        for c in (VECTOR_C, WORD_C)
+    }),
+    ("search-r", "the colouring has 3 colours but the search has r=2", {
+        "exact": lambda w: search_exact(SearchProblem("signed", 1, 2, 3, 2),
+                                        Colouring.seeded(0, 3)),
+        "approx": lambda w: search_approx(
+            SearchProblem("signed", 1, 2, 3, 2, radius=1), Colouring.seeded(0, 3)),
+        "search_ghj": lambda w: search_ghj(
+            AB, 1, "signed", 2, Colouring.seeded(0, 3, arity="word"), (1, 2)),
+    }),
+    ("witness-r", "the colouring has 3 colours but the witness has r=2", {
+        f"verify-{kind}": _verify(kind, Colouring.seeded(0, 3, arity=kind))
+        for kind in ("vector", "word")
+    }),
+]
 
 
 def spans_of_pair(p, q, colouring):
@@ -955,7 +1053,7 @@ class TestValidation:
     def test_search_rejects_colour_count_mismatch(self, arity, search):
         # a 3-colour colouring once gave a verdict for r=2 (exact:
         # Exhausted(274, 238), against Exhausted(294, 228) at r=3)
-        with pytest.raises(ValueError, match="3 colours but the search asks for r=2"):
+        with pytest.raises(ValueError, match="3 colours but the search has r=2"):
             search(Colouring.seeded(0, 3, arity=arity))
 
     def test_verify_rejects_blocks_outside_n(self):
@@ -1023,9 +1121,9 @@ class TestValidation:
         (lambda: search_ghj(AB, 1, "signed", 2, WORD_C, ()),
          "need at least one generator length"),
         (lambda: search_ghj(AB, 1, "unsigned", 2, WORD_C, (1, 2), radius=1),
-         "approximate word search requires signed mode"),
+         "radius 1 requires signed mode"),
         (lambda: search_ghj(AB, 1, "signed", 2, VECTOR_C, (1, 2)),
-         "word searches need a word colouring"),
+         "the search needs a word colouring"),
         (lambda: PipelineBounds(mode="unsigned", k=1, lengths=(1, 2, 4)),
          "the word search needs an even number of lengths"),
         (lambda: PipelineBounds(mode="unsigned", k=1, lengths=(1, 2),
@@ -1033,13 +1131,27 @@ class TestValidation:
          "sample_count must be at least 1"),
         (lambda: parametrized_pipeline(
             WORD_C, PipelineBounds(mode="unsigned", k=1, lengths=(1, 2))),
-         "the pipeline needs a (vector sequence, matrix) colouring"),
+         "the pipeline needs a vector_matrix colouring"),
     ], ids=["approx-unsigned", "no-lengths", "word-unsigned-radius1",
             "word-given-vector-colouring", "odd-lengths", "no-samples",
             "pipeline-given-word-colouring"])
     def test_refusals_name_their_cause(self, call, message):
         with pytest.raises(ValueError) as err:
             call()
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("call,message", [
+        pytest.param(call, message, id=f"{rule}-{entry}")
+        for rule, message, calls in BAD_REQUESTS
+        for entry, call in calls.items()
+    ])
+    def test_each_rule_has_one_message(self, witnesses, call, message):
+        # every entry point that takes a request refuses it with the rule's
+        # one message; the copies once drifted: a word search asked for
+        # radius 2 ran at radius 1 and returned Witness(radius=2), and
+        # verify_witness raised AttributeError on the other kind's colouring
+        with pytest.raises(ValueError) as err:
+            call(witnesses)
         assert str(err.value) == message
 
     def test_search_mode_guards(self):
