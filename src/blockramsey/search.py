@@ -151,6 +151,7 @@ class Colouring:
         self.rule = rule
         self.fn = fn
         self.seed = None  # set by `seeded` alone: the vector kernel reads it
+        self.lift = None  # set by `_lift` alone: the word search reads it
 
     @classmethod
     def family(cls, name: str, r: int, arity: str = "vector") -> "Colouring":
@@ -384,6 +385,16 @@ def word_ball(x: Word, radius: int) -> list[Word]:
     return list(iter_word_ball(x, radius))
 
 
+def _trusted(cls, **fields):
+    """A `cls` holding `fields`, made without the checks of its
+    __post_init__: for a frozen dataclass value that a search decodes from
+    its own codes, which is valid by construction.  Everything else goes
+    through the validating constructor."""
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
+
+
 class _VectorKernel:
     """One vector search's universe as integer codes, and its colour oracle.
 
@@ -402,7 +413,8 @@ class _VectorKernel:
     demand, once each, to `1 << colour`, or to 0 outside the universe; a
     colouring that is not seeded gets the decoded BlockVector.  The sup-norm
     ball of radius 1 is a box of cells, so a span element's feasible colours
-    are the OR over its box (at radius 0, over the element alone).
+    are the OR over its box (at radius 0, over the element alone).  A code's
+    vector and its JSON dict are both read off the code's digits.
     """
 
     def __init__(self, problem: SearchProblem, colouring: Colouring):
@@ -448,14 +460,24 @@ class _VectorKernel:
         self._tail = _KEY_TAIL.format(self.k, self.mode).encode()
         self._states = {0: _fnv1a(_KEY_HEAD.encode())}
 
-    def decode(self, code: int) -> BlockVector:
-        """The vector with this code."""
+    def _entries(self, code: int) -> list[tuple[int, int]]:
+        """The (position, value) entries of the vector with this code."""
         cell, B, lo, entries = code + self.base, self.B, self.lo, []
         for n in range(len(self.powers)):
             cell, digit = divmod(cell, B)
             if digit + lo:
                 entries.append((n, digit + lo))
-        return BlockVector(self.k, self.mode, tuple(entries))
+        return entries
+
+    def decode(self, code: int) -> BlockVector:
+        """The vector with this code."""
+        return _trusted(BlockVector, k=self.k, mode=self.mode,
+                        entries=tuple(self._entries(code)))
+
+    def to_dict(self, code: int) -> dict:
+        """self.decode(code).to_dict(), with no BlockVector."""
+        return {"k": self.k, "mode": self.mode,
+                "entries": [list(e) for e in self._entries(code)]}
 
     def candidates(self, prefix: list[int]) -> range:
         """Places of the blocks that can follow the prefix: the universe is
@@ -596,14 +618,15 @@ def _dfs(m: int, space, r: int):
 def _certificate(space, span, colour: int) -> tuple:
     """The span's elements (exponent 0) in `space.order`, each with its
     evidence: at radius 1 the first code of `space.walk(code)` with the
-    colour's bit, decoded, 1 away unless it is the element (integer metrics)."""
+    colour's bit, 1 away unless it is the element (integer metrics).  Each
+    code's JSON dict comes from `space.to_dict`."""
     cert = []
     for code in sorted((v for v, exp in span if exp == 0), key=space.order):
-        entry = {"element": space.decode(code).to_dict(), "colour": colour}
+        entry = {"element": space.to_dict(code), "colour": colour}
         if space.radius:
             nb = next(y for y in space.walk(code)
                       if space.colour_bit(y) == 1 << colour)
-            entry.update(neighbour=space.decode(nb).to_dict(), dist=int(nb != code))
+            entry.update(neighbour=space.to_dict(nb), dist=int(nb != code))
         cert.append(entry)
     return tuple(cert)
 
@@ -662,6 +685,10 @@ class _WordCodes:
     iter_word_ball: a nonzero letter stays, and the zero letter or v_i moves
     to the places of the indices within 1 of its own, sorted by place; a
     member has full class when it holds v_k or v_-k.
+
+    A code's JSON dict is built from a per-place table of each symbol's
+    key and value.  A lifted colouring (`colouring.lift` set) is fed a
+    code's per-place lift pairs instead of a decoded Word.
     """
 
     def __init__(self, alphabet: Alphabet, k: int, mode: str, radius: int,
@@ -670,6 +697,10 @@ class _WordCodes:
         self.colouring, self._pieces, self._bits = colouring, {}, {}
         self.table = _slot_symbols(alphabet, k, mode)
         self.place = {sym: p for p, sym in enumerate(self.table)}
+        self._json = [("var", sym.index) if isinstance(sym, Var) else
+                      ("letter", sym.token) for sym in self.table]
+        self._pairs = None if colouring.lift is None else \
+            [colouring.lift(sym) for sym in self.table]
         symbols = _slot_symbols(alphabet, k, mode, letters)
         self.slots = [itertools.tee(_full_class_words(k, mode, alphabet,
                                                       [symbols] * ln), 1)[0]
@@ -693,8 +724,15 @@ class _WordCodes:
         return tuple([self.place[sym] for sym in symbols])
 
     def decode(self, code: tuple) -> Word:
-        return Word(self.k, self.mode, self.alphabet,
-                    tuple([self.table[p] for p in code]))
+        return _trusted(Word, k=self.k, mode=self.mode, alphabet=self.alphabet,
+                        symbols=tuple([self.table[p] for p in code]))
+
+    def to_dict(self, code: tuple) -> dict:
+        """self.decode(code).to_dict(), with no Word: fresh dicts and lists
+        (a bit-tuple letter becomes a list) for every call."""
+        return {"k": self.k, "mode": self.mode, "symbols": [
+            {key: list(value) if type(value) is tuple else value}
+            for key, value in map(self._json.__getitem__, code)]}
 
     def order(self, code: tuple) -> tuple:
         return len(code), code
@@ -713,7 +751,12 @@ class _WordCodes:
     def colour_bit(self, code: tuple) -> int:
         bit = self._bits.get(code)
         if bit is None:
-            bit = self._bits[code] = 1 << self.colouring(self.decode(code))
+            if self._pairs is None:
+                colour = self.colouring(self.decode(code))
+            else:  # a lifted colouring reads the code's lift pairs
+                colour = self.colouring(self.k, self.mode,
+                                        [self._pairs[p] for p in code])
+            bit = self._bits[code] = 1 << colour
         return bit
 
     def walk(self, code: tuple):
@@ -920,18 +963,34 @@ def verify_witness(witness: Witness, colouring: Colouring) -> VerifyReport:
 
 def _lift(colouring: Colouring, cols: int) -> Colouring:
     """The word colouring w -> colouring(phi_encode(X), psi_encode(X, cols))
-    for X = (w,), with both encodings read straight off the word.  It calls
-    `colouring.fn`: its own call checks the colour against the same r."""
-    letter_bits = functools.cache(lambda token: _set_bits(token, cols))
+    for X = (w,), with both encodings read off w's lift pairs, one per
+    position: `lifted.lift(symbol)` is (index, ()) for a variable and (0, the
+    letter's set bits below cols) for a letter.  `lifted(w)` takes a word,
+    and `lifted(k, mode, pairs)` the pairs alone, as the word search passes
+    them from its codes.  It calls `colouring.fn`: its own call checks the
+    colour against the same r."""
+    letter_bits = functools.cache(lambda token: tuple(_set_bits(token, cols)))
 
-    def lifted(wrd: Word) -> int:
-        block = BlockVector(wrd.k, wrd.mode, W._var_entries(wrd))
-        bits = frozenset((n, i) for n, sym in enumerate(wrd.symbols)
-                         if isinstance(sym, Letter)
-                         for i in letter_bits(sym.token))
-        return colouring.fn(BlockSequence((block,)),
-                            ParamMatrix(len(wrd), cols, bits))
-    return Colouring.custom(lifted, colouring.r, arity="word", name="lifted")
+    def pair(sym) -> tuple:
+        return (sym.index, ()) if isinstance(sym, Var) else \
+            (0, letter_bits(sym.token))
+
+    def lifted(*elem) -> int:
+        if len(elem) == 1:  # a word
+            wrd, = elem
+            elem = wrd.k, wrd.mode, list(map(pair, wrd.symbols))
+        k, mode, pairs = elem
+        entries, bits = [], []
+        for n, (i, set_bits) in enumerate(pairs):
+            if i:
+                entries.append((n, i))
+            for b in set_bits:
+                bits.append((n, b))
+        return colouring.fn(BlockSequence((BlockVector(k, mode, tuple(entries)),)),
+                            ParamMatrix(len(pairs), cols, frozenset(bits)))
+    out = Colouring.custom(lifted, colouring.r, arity="word", name="lifted")
+    out.lift = pair
+    return out
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,23 @@ class TestGolden:
         assert code == 0
         assert out == (GOLDEN / "selftest.json").read_text()
 
+    def test_search_word_bit_letters_golden(self):
+        # the only golden whose certificate holds bit-tuple letters ([] and
+        # [1]), which its JSON writes as lists
+        code, out, _ = run_cli(
+            "search", "--kind", "word", "--mode", "signed", "--k", "1",
+            "--lengths", "1,2,4", "--radius", "1", "--family",
+            "support-size-mod", "--alphabet", '{"levels":[[[],[1]]],"zero":[]}',
+        )
+        assert code == 0
+        assert out == (GOLDEN / "search_word_bitletters.json").read_text()
+        code, out, _ = run_cli(
+            "verify", "--witness", f"@{GOLDEN / 'search_word_bitletters.json'}",
+            "--family", "support-size-mod")
+        assert code == 0
+        assert json.loads(out) == {"checked": 98, "colour": 1, "failures": [],
+                                   "passed": True}
+
 
 class TestExitCodes:
     def test_usage_error_is_2(self):

@@ -633,6 +633,10 @@ class TestBalls:
         assert 0 < calls < full
 
 
+# the code tables below only walk and order codes, never colour them
+ANY_WORD_COLOURING = Colouring.seeded(0, 2, arity="word")
+
+
 class TestWordCodes:
     """The word search's code table against the Word-level walkers."""
 
@@ -641,7 +645,8 @@ class TestWordCodes:
     @pytest.mark.parametrize("letters", [("0", "a"), ("0", "a", "b")])
     def test_code_ball_is_iter_word_ball(self, letters, k, radius):
         alphabet = Alphabet.make([letters], "0")
-        codes = S._WordCodes(alphabet, k, "signed", radius, None, (), None)
+        codes = S._WordCodes(alphabet, k, "signed", radius, ANY_WORD_COLOURING,
+                             (), None)
         for length in range(1, 5):
             for x in S.word_candidates(alphabet, k, "signed", length):
                 got = codes.walk(codes.code(x.symbols))
@@ -658,7 +663,7 @@ class TestWordCodes:
         words = [Word(k, mode, alphabet, syms) for n in (1, 2, 3)
                  for syms in itertools.product(symbols, repeat=n)]
         random.Random(0).shuffle(words)
-        codes = S._WordCodes(alphabet, k, mode, 0, None, (), None)
+        codes = S._WordCodes(alphabet, k, mode, 0, ANY_WORD_COLOURING, (), None)
         # the order the word search lists its witness's span elements in
         got = sorted((codes.code(w.symbols) for w in words), key=codes.order)
         assert list(map(codes.decode, got)) == sorted(words, key=Word.sort_key)
