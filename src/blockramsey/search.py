@@ -409,12 +409,12 @@ class _VectorKernel:
     its last entry (n, v) peeled off) plus v * B**n, and a code's tetris
     images and seeded-colour hash state are built from its prefix's, each
     memoized by code: T and the sign act position by position, and FNV-1a
-    resumes from the state after the prefix's key.  Cells are coloured on
-    demand, once each, to `1 << colour`, or to 0 outside the universe; a
+    resumes from the state after the prefix's key.  `colour` gives a cell
+    `1 << colour`, or 0 outside the universe, afresh on every call; a
     colouring that is not seeded gets the decoded BlockVector.  The sup-norm
     ball of radius 1 is a box of cells, so a span element's feasible colours
-    are the OR over its box (at radius 0, over the element alone).  A code's
-    vector and its JSON dict are both read off the code's digits.
+    are the OR over the cells of its box (at radius 0, the element alone).
+    A code's vector and its JSON dict are both read off the code's digits.
     """
 
     def __init__(self, problem: SearchProblem, colouring: Colouring):
@@ -456,7 +456,6 @@ class _VectorKernel:
         self._digits = {v: [sum(u for _, u in e) for e, _ in
                             tetris_images(((0, v),), self.k, self.mode)]
                         for v in values if v}
-        self._bits = {}
         self._tail = _KEY_TAIL.format(self.k, self.mode).encode()
         self._states = {0: _fnv1a(_KEY_HEAD.encode())}
 
@@ -479,14 +478,13 @@ class _VectorKernel:
         return {"k": self.k, "mode": self.mode,
                 "entries": [list(e) for e in self._entries(code)]}
 
-    def candidates(self, prefix: list[int]) -> range:
-        """Places of the blocks that can follow the prefix: the universe is
-        sorted by min support, so these are the places past the last
-        block's max support."""
+    def candidates(self, prefix: list[int]) -> list[int]:
+        """Codes of the blocks that can follow the prefix: the universe is
+        sorted by min support, so these are the codes past the last block's
+        max support."""
         if not prefix:
-            return range(len(self.codes))
-        reach = self._peel(self.codes[prefix[-1]])[1]
-        return range(self.starts[reach + 1], len(self.codes))
+            return self.codes
+        return self.codes[self.starts[self._peel(prefix[-1])[1] + 1]:]
 
     def _peel(self, code: int) -> tuple[int, int, int]:
         """(prefix code, n, v) for the last entry (n, v) of a nonzero code."""
@@ -503,50 +501,42 @@ class _VectorKernel:
             h = self._states[code] = _fnv1a(chunk.encode(), self._state(prefix))
         return h
 
-    def colour_bit(self, code: int) -> int:
-        bit = self._bits.get(code)
-        if bit is None:
-            if code not in self.index:
-                bit = 0
-            elif self.colouring.seed is None:
-                bit = 1 << self.colouring(self.decode(code))
-            else:  # Colouring.seeded, resumed from the prefix's state
-                h = _fnv1a(self._tail, self._state(code))
-                h ^= self.colouring.seed & 0xFFFFFFFFFFFFFFFF
-                bit = 1 << _splitmix64(h) % self.colouring.r
-            self._bits[code] = bit
-        return bit
+    def colour(self, code: int) -> int:
+        """The cell's colour bit, 1 << colour, or 0 outside the universe."""
+        if code not in self.index:
+            return 0
+        if self.colouring.seed is None:
+            return 1 << self.colouring(self.decode(code))
+        # Colouring.seeded, resumed from the prefix's state
+        h = _fnv1a(self._tail, self._state(code))
+        h ^= self.colouring.seed & 0xFFFFFFFFFFFFFFFF
+        return 1 << _splitmix64(h) % self.colouring.r
 
-    def ball(self, code: int) -> Iterable[int]:
-        """The colour bit of every cell within sup-norm distance `radius` of
-        `code` (0 for a cell outside the universe), each cell coloured only
-        when the walk reaches it; position 0 varies slowest."""
-        cells = (code,)
-        if self.radius:
-            cell = code + self.base
-            shifts = [[d * step for d in (-1, 0, 1)
-                       if 0 <= cell // step % self.B + d < self.B]
-                      for step in self.powers]
-            cells = map(code.__add__, map(sum, itertools.product(*shifts)))
-        return map(self.colour_bit, cells)
+    def cells(self, code: int) -> Iterable[int]:
+        """The cells within sup-norm distance `radius` of `code`, in or out
+        of the universe; position 0 varies slowest."""
+        if not self.radius:
+            return (code,)
+        cell = code + self.base
+        shifts = [[d * step for d in (-1, 0, 1)
+                   if 0 <= cell // step % self.B + d < self.B]
+                  for step in self.powers]
+        return map(code.__add__, map(sum, itertools.product(*shifts)))
 
     def walk(self, code: int) -> Iterable[int]:
         """The codes of iter_vector_ball's members around `code`, in order."""
         return (sum(v * self.powers[n] for n, v in q.entries) for q in
                 iter_vector_ball(self.decode(code), len(self.powers), self.radius))
 
-    def pieces(self, slot: int, ci: int) -> list[tuple[int, int]]:
+    def pieces(self, code: int) -> list[tuple[int, int]]:
         """(code, tetris exponent) of every signed tetris image of a block."""
-        return self._image_codes(self.codes[ci])
-
-    def _image_codes(self, code: int) -> list[tuple[int, int]]:
         out = self._images.get(code)
         if out is None:
             prefix, n, v = self._peel(code)
             step = self.powers[n]
             out = self._images[code] = [
                 (c + d * step, j)
-                for (c, j), d in zip(self._image_codes(prefix), self._digits[v])]
+                for (c, j), d in zip(self.pieces(prefix), self._digits[v])]
         return out
 
 
@@ -554,12 +544,13 @@ def _dfs(m: int, space, r: int):
     """Least m-slot prefix, in canonical order, whose span keeps a colour.
 
     `space.candidates(prefix)` lists the next slot's candidates in canonical
-    order, and `space.pieces(slot, cand)` a candidate's distinct span pieces
-    as (value, exponent) pairs.  A candidate adds to its prefix's span the
+    order, and `space.pieces(cand)` a candidate's distinct span pieces as
+    (value, exponent) pairs.  A candidate adds to its prefix's span the
     elements `span_step` makes from its pieces (integer codes of vectors or
     tuple codes of words), and exponent 0 marks a span element.
-    `space.ball(value)` yields one colour bit (1 << c, or 0 for a vector
-    cell outside the universe) per member of a span element's ball.
+    `space.cells(value)` yields the cells of a span element's ball, and
+    `space.colour(cell)` a cell's colour bit (1 << c, or 0 for a vector
+    cell outside the universe), which the search keeps per cell.
 
     The search keeps, per element, the colour bits seen and a mark once its
     whole ball was seen.  A walk stops once every colour still alive is
@@ -568,25 +559,30 @@ def _dfs(m: int, space, r: int):
     element allows exactly the colours of its whole ball.
 
     A node is one evaluated candidate prefix; a dead end is a node whose
-    partial span already excludes every colour.  Returns (prefix, span,
-    colour) for the first surviving prefix of m slots, or Exhausted.
+    partial span already excludes every colour.  Returns the first
+    surviving prefix of m slots, its span, colour and bits by cell, or
+    Exhausted.
     """
     nodes = dead_ends = 0
     seen = {}  # value -> colour bits seen, with `whole` once the ball ends
     whole = 1 << r  # above every colour bit, so `colours &= bits` drops it
+    colour_bits = {}  # cell -> its colour bit, for the whole search
+    known = colour_bits.get
 
     def extend(prefix, span, want):
         nonlocal nodes, dead_ends
-        slot = len(prefix)
         for cand in space.candidates(prefix):
             nodes += 1
-            fresh = span_step(span, space.pieces(slot, cand))
+            fresh = span_step(span, space.pieces(cand))
             colours = want
             for value, exp in fresh:
                 if exp == 0:
                     bits = seen.get(value, 0)
                     if bits & colours != colours and not bits & whole:
-                        for bit in space.ball(value):
+                        for cell in space.cells(value):
+                            bit = known(cell)
+                            if bit is None:
+                                bit = colour_bits[cell] = space.colour(cell)
                             bits |= bit
                             if bits & colours == colours:
                                 break
@@ -599,10 +595,10 @@ def _dfs(m: int, space, r: int):
             if not colours:
                 dead_ends += 1
                 continue
-            if slot + 1 == m:
+            if len(prefix) + 1 == m:
                 # the witness colour is the least one the span keeps
                 return (prefix + [cand], span + fresh,
-                        (colours & -colours).bit_length() - 1)
+                        (colours & -colours).bit_length() - 1, colour_bits)
             found = extend(prefix + [cand], span + fresh, colours)
             if found is not None:
                 return found
@@ -615,17 +611,22 @@ def _dfs(m: int, space, r: int):
     return Exhausted(nodes, dead_ends) if found is None else found
 
 
-def _certificate(space, span, colour: int) -> tuple:
+def _certificate(space, span, colour: int, colour_bits: dict) -> tuple:
     """The span's elements (exponent 0) in `space.order`, each with its
     evidence: at radius 1 the first code of `space.walk(code)` with the
-    colour's bit, 1 away unless it is the element (integer metrics).  Each
-    code's JSON dict comes from `space.to_dict`."""
+    colour's bit, read from or else kept in the search's `colour_bits`, 1
+    away unless it is the element (integer metrics).  Each code's JSON dict
+    comes from `space.to_dict`."""
+    def on_colour(cell):
+        if cell not in colour_bits:
+            colour_bits[cell] = space.colour(cell)
+        return colour_bits[cell] == 1 << colour
+
     cert = []
     for code in sorted((v for v, exp in span if exp == 0), key=space.order):
         entry = {"element": space.to_dict(code), "colour": colour}
         if space.radius:
-            nb = next(y for y in space.walk(code)
-                      if space.colour_bit(y) == 1 << colour)
+            nb = next(filter(on_colour, space.walk(code)))
             entry.update(neighbour=space.to_dict(nb), dist=int(nb != code))
         cert.append(entry)
     return tuple(cert)
@@ -637,12 +638,12 @@ def _vector_search(problem: SearchProblem, colouring: Colouring):
     found = _dfs(problem.m, kernel, problem.r)
     if isinstance(found, Exhausted):
         return found
-    prefix, span, colour = found
+    prefix, span, colour, colour_bits = found
     return Witness(
         kind="vector", mode=problem.mode, k=problem.k, r=problem.r, N=problem.N,
         radius=problem.radius, colour=colour, rule=colouring.rule_name(),
-        certificate=_certificate(kernel, span, colour),
-        blocks=BlockSequence(tuple(kernel.decode(kernel.codes[i]) for i in prefix)),
+        certificate=_certificate(kernel, span, colour, colour_bits),
+        blocks=BlockSequence(tuple(map(kernel.decode, prefix))),
     )
 
 
@@ -674,12 +675,13 @@ def _slot_symbols(alphabet: Alphabet, k: int, mode: str,
 
 
 class _WordCodes:
-    """One word search's words as codes, its slots and its colour memo.  A
-    code is the tuple of each symbol's place in `table`: every letter of the
-    alphabet, then the variables, in symbol_key order.  Codes hash as ints,
-    and `order`, (len, code), sorts codes as Word.sort_key sorts their words.
-    A slot's words are made as the DFS first reaches them and kept: a copy
-    of a never-advanced tee re-reads the words made so far, then draws more.
+    """One word search's words as codes, and its slots.  A code is the tuple
+    of each symbol's place in `table`: every letter of the alphabet, then
+    the variables, in symbol_key order.  Codes hash as ints, and `order`,
+    (len, code), sorts codes as Word.sort_key sorts their words.  A slot's
+    candidates, each a word with its coded span pieces, are made as the DFS
+    first reaches them and kept: a copy of a never-advanced tee re-reads the
+    candidates made so far, then draws more.
 
     A radius-1 ball (signed words only) is a product over places, as in
     iter_word_ball: a nonzero letter stays, and the zero letter or v_i moves
@@ -694,7 +696,7 @@ class _WordCodes:
     def __init__(self, alphabet: Alphabet, k: int, mode: str, radius: int,
                  colouring: Colouring, lengths: tuple, letters: Optional[Iterable]):
         self.k, self.mode, self.alphabet, self.radius = k, mode, alphabet, radius
-        self.colouring, self._pieces, self._bits = colouring, {}, {}
+        self.colouring = colouring
         self.table = _slot_symbols(alphabet, k, mode)
         self.place = {sym: p for p, sym in enumerate(self.table)}
         self._json = [("var", sym.index) if isinstance(sym, Var) else
@@ -702,9 +704,9 @@ class _WordCodes:
         self._pairs = None if colouring.lift is None else \
             [colouring.lift(sym) for sym in self.table]
         symbols = _slot_symbols(alphabet, k, mode, letters)
-        self.slots = [itertools.tee(_full_class_words(k, mode, alphabet,
-                                                      [symbols] * ln), 1)[0]
-                      for ln in lengths]
+        self.slots = [itertools.tee(self._coded(slot, _full_class_words(
+            k, mode, alphabet, [symbols] * ln)), 1)[0]
+            for slot, ln in enumerate(lengths)]
         if mode == SIGNED:
             zero = alphabet.zero
             self.near = []
@@ -737,27 +739,25 @@ class _WordCodes:
     def order(self, code: tuple) -> tuple:
         return len(code), code
 
-    def candidates(self, prefix: list) -> Iterable[Word]:
+    def _coded(self, slot: int, words: Iterable[Word]):
+        # rapid increase keeps the concatenations of distinct pieces distinct
+        for wrd in words:
+            yield wrd, [(self.code(syms), exp)
+                        for syms, exp in W._slot_pieces(wrd, slot)]
+
+    def candidates(self, prefix: list) -> Iterable[tuple]:
+        """The next slot's (word, coded pieces) candidates."""
         return copy.copy(self.slots[len(prefix)])
 
-    def pieces(self, slot: int, wrd: Word) -> list[tuple[tuple, int]]:
-        # rapid increase keeps the concatenations of distinct pieces distinct
-        out = self._pieces.get((slot, wrd))
-        if out is None:
-            out = self._pieces[slot, wrd] = [
-                (self.code(syms), exp) for syms, exp in W._slot_pieces(wrd, slot)]
-        return out
+    def pieces(self, cand: tuple) -> list[tuple[tuple, int]]:
+        return cand[1]
 
-    def colour_bit(self, code: tuple) -> int:
-        bit = self._bits.get(code)
-        if bit is None:
-            if self._pairs is None:
-                colour = self.colouring(self.decode(code))
-            else:  # a lifted colouring reads the code's lift pairs
-                colour = self.colouring(self.k, self.mode,
-                                        [self._pairs[p] for p in code])
-            bit = self._bits[code] = 1 << colour
-        return bit
+    def colour(self, code: tuple) -> int:
+        """The colour bit, 1 << colour, of the word with this code."""
+        if self._pairs is None:
+            return 1 << self.colouring(self.decode(code))
+        # a lifted colouring reads the code's lift pairs
+        return 1 << self.colouring(self.k, self.mode, [self._pairs[p] for p in code])
 
     def walk(self, code: tuple):
         """The codes of iter_word_ball(self.decode(code), radius), in its order."""
@@ -766,8 +766,7 @@ class _WordCodes:
         return itertools.filterfalse(self.full.isdisjoint, itertools.product(
             *map(self.near.__getitem__, code)))
 
-    def ball(self, code: tuple):
-        return map(self.colour_bit, self.walk(code))
+    cells = walk  # a word ball's cells are its members
 
 
 def word_candidates(alphabet: Alphabet, k: int, mode: str, length: int,
@@ -802,11 +801,11 @@ def search_ghj(alphabet: Alphabet, k: int, mode: str, r: int,
     found = _dfs(len(lengths), space, r)
     if isinstance(found, Exhausted):
         return found
-    prefix, span, colour = found
+    prefix, span, colour, colour_bits = found
     return Witness(
         kind="word", mode=mode, k=k, r=r, radius=radius, colour=colour,
-        certificate=_certificate(space, span, colour),
-        words=VarWordSequence(tuple(prefix)), lengths=lengths,
+        certificate=_certificate(space, span, colour, colour_bits),
+        words=VarWordSequence(tuple(wrd for wrd, _ in prefix)), lengths=lengths,
         rule=colouring.rule_name(),
     )
 
@@ -910,8 +909,9 @@ def verify_witness(witness: Witness, colouring: Colouring) -> VerifyReport:
     colours; a colour outside [0, r); a k or mode other than the blocks' or
     words'; a vector witness with a block position outside [0, N), or of
     radius 1 over a universe the search would refuse; word lengths other
-    than `lengths`; or a witness whose independent span would take more than
-    MAX_UNIVERSE_CELLS candidate pieces (summed over its blocks or
+    than `lengths`, or of radius 1 with 3^(sum of lengths) over
+    MAX_UNIVERSE_CELLS; or a witness whose independent span would take more
+    than MAX_UNIVERSE_CELLS candidate pieces (summed over its blocks or
     generators) or piece products to enumerate, refused before any is made.
     """
     _check_request(witness.mode, witness.k, witness.radius)
@@ -934,6 +934,8 @@ def verify_witness(witness: Witness, colouring: Colouring) -> VerifyReport:
     elif [len(w) for w in seq] != list(witness.lengths):
         raise ValueError(f"the witness lengths {list(witness.lengths)} differ "
                          f"from its words' {[len(w) for w in seq]}")
+    elif witness.radius:  # the ball of a length-n word holds up to 3^n words
+        check_cap(3 ** sum(witness.lengths), "possible words in one ball")
     failures = []
     elements = (oracle_span_vectors(seq) if witness.kind == "vector" else
                 oracle_span_words(seq))

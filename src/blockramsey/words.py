@@ -94,7 +94,7 @@ def _token_json(token):
 def _token_parse(token):
     if isinstance(token, str):
         return token
-    if isinstance(token, list) and all(_is_int(b) for b in token):
+    if isinstance(token, list) and all(_is_int(b) and b in (0, 1) for b in token):
         return tuple(token)
     raise ValueError(f"a letter is a string or a list of bits, not "
                      f"{json.dumps(token)}")

@@ -276,6 +276,26 @@ class TestExitCodes:
                        "1000000; lower k or N\n")
         assert time.perf_counter() - started < 5
 
+    def test_verify_radius1_word_balls_over_cap_is_1(self, capfd, tmp_path):
+        # every word of this witness has colour 1, so verifying colour 0
+        # once walked every ball whole: up to 3^15 words for the longest
+        # span elements
+        started = time.perf_counter()
+        words = [{"k": 1, "mode": "signed", "symbols": [{"var": 1}] * n}
+                 for n in (1, 2, 4, 8)]
+        witness = {"kind": "word", "mode": "signed", "k": 1, "r": 2,
+                   "radius": 1, "colour": 0, "certificate": [],
+                   "alphabet": {"levels": [["0", "a"]], "zero": "0"},
+                   "lengths": [1, 2, 4, 8], "words": words}
+        (tmp_path / "w.json").write_text(json.dumps(witness))
+        code, out, err = run_inproc(capfd, "verify", "--witness",
+                                    f"@{tmp_path / 'w.json'}", "--family",
+                                    "value-at-min-support")
+        assert (code, out) == (1, "")
+        assert err == ("error: 14348907 possible words in one ball exceed the "
+                       "cap of 1000000\n")
+        assert time.perf_counter() - started < 5
+
     def test_verify_over_cap_is_1(self, capfd, tmp_path):
         # search finds this witness at once; verifying it once tried 9^8
         # pieces for the length-8 generator
@@ -405,6 +425,15 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and quoted in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_list_letter_of_a_non_bit_is_1(self, capfd):
+        # the letter [2] was read as a letter and encoded to the psi bit 0
+        code, out, err = run_inproc(
+            capfd, "encode", "--alphabet", '{"levels":[[[],[2]]],"zero":[]}',
+            "--words", '[{"k":1,"mode":"unsigned","symbols":[{"letter":[2]},'
+            '{"var":1}]}]', "--cols", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: a letter is a string or a list of bits, not [2]\n"
 
     def test_verify_witness_block_with_string_k_is_1(self, capfd, tmp_path):
         path = Path(self._witness_file(capfd, tmp_path)[1:])

@@ -65,7 +65,7 @@ def test_grid_feasibility_and_neighbours_match_ball(k, N, spec, r):
         universe, kernel = _kernel(k, N, colouring, r, radius)
         for p in universe:
             ball = vector_ball(p, N, radius)
-            bits = list(kernel.ball(_code(kernel, p.entries)))
+            bits = list(map(kernel.colour, kernel.cells(_code(kernel, p.entries))))
             # one bit per cell of the box: a member's colour bit, else 0
             vals = dict(p.entries)
             assert len(bits) == math.prod(
@@ -77,7 +77,7 @@ def test_grid_feasibility_and_neighbours_match_ball(k, N, spec, r):
             # the colour is the least such member in canonical order
             for colour in {colouring(q) for q in ball}:
                 first = next(c for c in kernel.walk(_code(kernel, p.entries))
-                             if kernel.colour_bit(c) == 1 << colour)
+                             if kernel.colour(c) == 1 << colour)
                 assert kernel.decode(first) == min(
                     (q for q in ball if colouring(q) == colour),
                     key=BlockVector.sort_key)
@@ -92,7 +92,7 @@ def test_grid_with_more_colours_than_a_machine_word():
             expected = frozenset(colouring(q)
                                  for q in vector_ball(p, 3, radius))
             bits = 0
-            for bit in kernel.ball(_code(kernel, p.entries)):
+            for bit in map(kernel.colour, kernel.cells(_code(kernel, p.entries))):
                 bits |= bit
             assert _colours(bits, 70) == expected
 
@@ -115,19 +115,20 @@ def test_codes_follow_the_enumerated_universe(mode, k, N):
     kernel = _bare_kernel(mode, k, N)
     assert kernel.codes == [_code(kernel, p.entries) for p in universe]
     assert kernel.index == {c: i for i, c in enumerate(kernel.codes)}
-    assert list(kernel.candidates([])) == list(range(len(universe)))
-    for i, (code, p) in enumerate(zip(kernel.codes, universe)):
+    assert list(kernel.candidates([])) == kernel.codes
+    for code, p in zip(kernel.codes, universe):
         assert kernel.decode(code) == p
-        assert list(kernel.candidates([i])) == [
-            j for j, q in enumerate(universe) if q.min_support > p.max_support]
+        assert list(kernel.candidates([code])) == [
+            _code(kernel, q.entries) for q in universe
+            if q.min_support > p.max_support]
 
 
 @pytest.mark.parametrize("mode,k,N", UNIVERSES)
 def test_variants_are_the_tetris_images(mode, k, N):
     kernel = _bare_kernel(mode, k, N)
     signs = (1, -1) if mode == "signed" else (1,)
-    for ci, p in enumerate(enumerate_universe(k, N, mode)):
-        assert kernel.pieces(0, ci) == [
+    for p in enumerate_universe(k, N, mode):
+        assert kernel.pieces(_code(kernel, p.entries)) == [
             (_code(kernel, _tetris_entries(p.entries, j, sg)), j)
             for j in range(k) for sg in signs]
 
@@ -137,9 +138,9 @@ def test_variants_built_from_prefixes_match_the_decoded_images(mode, k, N):
     # the kernel builds a code's images from its prefix code's; a fresh
     # kernel asked last block first meets each prefix in another order
     kernel = _bare_kernel(mode, k, N)
-    for ci in reversed(range(len(kernel.codes))):
-        images = tetris_images(kernel.decode(kernel.codes[ci]).entries, k, mode)
-        assert kernel.pieces(0, ci) == [(_code(kernel, e), j) for e, j in images]
+    for code in reversed(kernel.codes):
+        images = tetris_images(kernel.decode(code).entries, k, mode)
+        assert kernel.pieces(code) == [(_code(kernel, e), j) for e, j in images]
 
 
 # seeds -1 and 2**70 + 5 lie outside [0, 2**64) and exercise the seed mask
@@ -154,7 +155,7 @@ def test_seeded_colours_resumed_from_prefixes_match_colouring_seeded(
         colouring.fn = lambda *elem: pytest.fail("the scalar colour was called")
         kernel = _VectorKernel(SearchProblem(mode, k, r, N, 1), colouring)
         for code in reversed(kernel.codes):
-            assert kernel.colour_bit(code) == 1 << reference(kernel.decode(code))
+            assert kernel.colour(code) == 1 << reference(kernel.decode(code))
 
 
 @pytest.mark.parametrize("mode,k,N", UNIVERSES)

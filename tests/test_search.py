@@ -587,18 +587,20 @@ class TestBalls:
             balls["end", i] = ()
         walks, reads = collections.Counter(), collections.Counter()
 
-        def ball(value):
+        def cells(value):
+            # a cell is (value, n), the n-th member of value's ball
             walks[value] += 1
-            for bit in balls[value]:
+            for n in range(len(balls[value])):
                 reads[value] += 1
-                yield bit
+                yield value, n
 
-        def pieces(slot, i):
+        def pieces(i):
             return [(("want", i), 0), ("x", 0),
                     *((("has", i, c), 0) for c in range(3)), (("end", i), 0)]
 
         space = SimpleNamespace(candidates=lambda prefix: range(len(wants)),
-                                pieces=pieces, ball=ball)
+                                pieces=pieces, cells=cells,
+                                colour=lambda cell: balls[cell[0]][cell[1]])
         res = S._dfs(1, space, 3)
         assert res == Exhausted(6, 6)
         answers = [sum(1 << c for c in range(3) if reads["has", i, c] == 2)
@@ -710,6 +712,41 @@ def test_word_search_colours_each_word_once(colouring, k, mode, lengths, radius,
 
     res = search_ghj(AB, k, mode, 2, Colouring.custom(counted, 2, arity="word"),
                      lengths, radius=radius)
+    assert calls and max(calls.values()) == 1
+    if isinstance(outcome, Exhausted):
+        assert res == outcome
+    else:
+        digest = hashlib.sha256(
+            S.canonical_json(res.to_dict()).encode()).hexdigest()[:16]
+        assert digest == outcome
+
+
+# (colouring, k, N, m, radius, outcome) of signed vector searches, recorded
+# before the colour memo moved from the kernel into the DFS, as in
+# COLOUR_ONCE; each colouring goes through Colouring.custom, so the kernel
+# colours every cell by calling it on the decoded vector
+VECTOR_COLOUR_ONCE = [
+    (Colouring.seeded(1, 3), 1, 5, 3, 1, "95d1f4f3538f9b03"),
+    (Colouring.family("value-at-min-support", 2), 1, 6, 3, 1, "02ba1db43abd96f6"),
+    (Colouring.seeded(2, 3), 2, 4, 2, 1, "78e2d152b2bd360b"),
+    (Colouring.family("weighted-sum-mod", 2), 2, 5, 2, 0, "6894066354af22d0"),
+    (Colouring.seeded(0, 2), 1, 6, 3, 0, Exhausted(1336, 1008)),
+]
+
+
+@pytest.mark.parametrize("colouring,k,N,m,radius,outcome", VECTOR_COLOUR_ONCE)
+def test_vector_search_colours_each_vector_once(colouring, k, N, m, radius,
+                                                outcome):
+    # the DFS walks, its re-walks of boxes that must show more colours and
+    # the certificate's canonical walks all read one colour memo
+    calls = collections.Counter()
+
+    def counted(p):
+        calls[p.entries] += 1
+        return colouring(p)
+
+    res = S._vector_search(SearchProblem("signed", k, colouring.r, N, m, radius),
+                           Colouring.custom(counted, colouring.r))
     assert calls and max(calls.values()) == 1
     if isinstance(outcome, Exhausted):
         assert res == outcome

@@ -65,12 +65,13 @@ def test_decoded_words_equal_validated_ones(alphabet, k, lengths):
                       + [Colouring.family(name, 2, arity="word")
                          for name in S.FAMILIES]):
         space = S._WordCodes(alphabet, k, "signed", 1, colouring, lengths, None)
+        colour, pieces = space.colour, space.pieces
+        space.colour = lambda code: codes.add(code) or colour(code)
+        space.pieces = lambda cand: codes.update(
+            code for code, _ in pieces(cand)) or pieces(cand)
         found = S._dfs(len(lengths), space, 2)
         if isinstance(found, tuple):
             S._certificate(space, *found[1:])
-        codes.update(space._bits)
-        codes.update(code for pieces in space._pieces.values()
-                     for code, _ in pieces)
     assert len(codes) > 50
     for code in codes:
         trusted = space.decode(code)
@@ -117,7 +118,7 @@ def test_code_path_lifts_as_lifted_words(mode, k):
     for length in (1, 2, 4):
         for w in S.word_candidates(alphabet, k, mode, length):
             seen.clear()
-            from_code = space.colour_bit(space.code(w.symbols))
+            from_code = space.colour(space.code(w.symbols))
             from_word = 1 << lifted(w)
             seq = VarWordSequence((w,))
             assert seen == [(phi_encode(seq), psi_encode(seq, 2))] * 2
