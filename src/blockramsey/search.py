@@ -70,6 +70,9 @@ FAMILIES = (
     "min-position-mod",
     "weighted-sum-mod",
 )
+# Colour sets are bitmasks with a mark above the top colour, and a search
+# keeps one per ball box it walks, so each costs about r/8 bytes.
+MAX_COLOURS = 1024
 
 
 def canonical_json(obj) -> str:
@@ -146,6 +149,8 @@ class Colouring:
             raise ValueError(f"unknown arity {arity!r}")
         if r < 1:
             raise ValueError("need at least one colour")
+        if r > MAX_COLOURS:
+            raise ValueError(f"{r} colours exceed the cap of {MAX_COLOURS}")
         self.arity = arity
         self.r = r
         self.rule = rule
@@ -414,7 +419,9 @@ class _VectorKernel:
     colouring that is not seeded gets the decoded BlockVector.  The sup-norm
     ball of radius 1 is a box of cells, so a span element's feasible colours
     are the OR over the cells of its box (at radius 0, the element alone).
-    A code's vector and its JSON dict are both read off the code's digits.
+    `axis` splits a box one digit per level, position 0 outermost, so the
+    boxes of nearby elements share sub-boxes.  A code's vector and its JSON
+    dict are both read off the code's digits.
     """
 
     def __init__(self, problem: SearchProblem, colouring: Colouring):
@@ -428,6 +435,7 @@ class _VectorKernel:
         self.least = [p + self.lo * (p - 1) // (self.B - 1) for p in self.powers]
         self.colouring = colouring
         self.radius = problem.radius
+        self.levels = problem.N if problem.radius else 0
         # Built bottom-up over the min support s: `every` codes the vectors
         # with min support above s, `full` those of them attaining magnitude
         # k, both in canonical order.  A vector with value v at its min
@@ -512,16 +520,13 @@ class _VectorKernel:
         h ^= self.colouring.seed & 0xFFFFFFFFFFFFFFFF
         return 1 << _splitmix64(h) % self.colouring.r
 
-    def cells(self, code: int) -> Iterable[int]:
-        """The cells within sup-norm distance `radius` of `code`, in or out
-        of the universe; position 0 varies slowest."""
-        if not self.radius:
-            return (code,)
-        cell = code + self.base
-        shifts = [[d * step for d in (-1, 0, 1)
-                   if 0 <= cell // step % self.B + d < self.B]
-                  for step in self.powers]
-        return map(code.__add__, map(sum, itertools.product(*shifts)))
+    def axis(self, level: int, centre: int) -> list[int]:
+        """The centres of the sub-boxes of `centre`'s radius-1 box at
+        `level`: its digit `level` moved by -1, 0 and +1 within the grid."""
+        step = self.powers[level]
+        digit = (centre + self.base) // step % self.B
+        return [centre + d * step for d in (-1, 0, 1)
+                if 0 <= digit + d < self.B]
 
     def walk(self, code: int) -> Iterable[int]:
         """The codes of iter_vector_ball's members around `code`, in order."""
@@ -548,15 +553,20 @@ def _dfs(m: int, space, r: int):
     (value, exponent) pairs.  A candidate adds to its prefix's span the
     elements `span_step` makes from its pieces (integer codes of vectors or
     tuple codes of words), and exponent 0 marks a span element.
-    `space.cells(value)` yields the cells of a span element's ball, and
-    `space.colour(cell)` a cell's colour bit (1 << c, or 0 for a vector
-    cell outside the universe), which the search keeps per cell.
 
-    The search keeps, per element, the colour bits seen and a mark once its
-    whole ball was seen.  A walk stops once every colour still alive is
-    seen; a later visit that wants more colours walks the ball again from
-    its start, and a ball walked whole is never walked again.  So each
-    element allows exactly the colours of its whole ball.
+    `space.axis(level, centre)` lists the centres of a box's sub-boxes in
+    walk order, from a span element's ball at level 0 down to its cells at
+    level `space.levels`, and `space.colour(cell)` gives a cell's colour bit
+    (1 << c, or 0 for a vector cell outside the universe).
+
+    Each level keeps, per centre, the colour bits its box walk saw and a
+    mark once the walk reached the box's end (as every cell has).  A walk
+    stops once every colour still wanted is seen, asking each sub-box only
+    for the colours it still lacks; a later visit that wants more colours
+    walks the box again from its start, and a box walked whole is never
+    walked again.  A kept box holds only coloured cells, so the search
+    colours the cells a flat walk of each ball would, in the same order,
+    and each element allows exactly the colours of its whole ball.
 
     A node is one evaluated candidate prefix; a dead end is a node whose
     partial span already excludes every colour.  Returns the first
@@ -564,10 +574,32 @@ def _dfs(m: int, space, r: int):
     Exhausted.
     """
     nodes = dead_ends = 0
-    seen = {}  # value -> colour bits seen, with `whole` once the ball ends
+    levels, axis = space.levels, space.axis
     whole = 1 << r  # above every colour bit, so `colours &= bits` drops it
-    colour_bits = {}  # cell -> its colour bit, for the whole search
-    known = colour_bits.get
+    colour_bits = {}  # cell -> its colour bit and `whole`, for the search
+    memos = [{} for _ in range(levels)] + [colour_bits]  # centre -> bits
+    top = memos[0].get
+
+    def walk(level, centre, want):
+        # the box's bits, walked from its start until `want` is seen
+        if level == levels:
+            bits = space.colour(centre) | whole
+        else:
+            bits = 0
+            memo = memos[level + 1]
+            for sub in axis(level, centre):
+                got = memo.get(sub, 0)
+                if not got & whole:
+                    need = want & ~bits
+                    if got & need != need:
+                        got = walk(level + 1, sub, need)
+                bits |= got
+                if bits & want == want:
+                    bits &= ~whole
+                    break
+            # else every sub-box was whole, so `bits` holds `whole`
+        memos[level][centre] = bits
+        return bits
 
     def extend(prefix, span, want):
         nonlocal nodes, dead_ends
@@ -577,18 +609,9 @@ def _dfs(m: int, space, r: int):
             colours = want
             for value, exp in fresh:
                 if exp == 0:
-                    bits = seen.get(value, 0)
+                    bits = top(value, 0)
                     if bits & colours != colours and not bits & whole:
-                        for cell in space.cells(value):
-                            bit = known(cell)
-                            if bit is None:
-                                bit = colour_bits[cell] = space.colour(cell)
-                            bits |= bit
-                            if bits & colours == colours:
-                                break
-                        else:
-                            bits |= whole
-                        seen[value] = bits
+                        bits = walk(0, value, colours)
                     colours &= bits
                     if not colours:
                         break
@@ -605,9 +628,9 @@ def _dfs(m: int, space, r: int):
         return None
 
     found = extend([], [], (1 << r) - 1)
-    # extend reaches itself through its closure; breaking that cycle frees
-    # the search's caches now instead of at the next cyclic collection
-    del extend
+    # extend and walk reach themselves through their closures; breaking
+    # that cycle frees the memos now, not at the next cyclic collection
+    del extend, walk
     return Exhausted(nodes, dead_ends) if found is None else found
 
 
@@ -620,7 +643,7 @@ def _certificate(space, span, colour: int, colour_bits: dict) -> tuple:
     def on_colour(cell):
         if cell not in colour_bits:
             colour_bits[cell] = space.colour(cell)
-        return colour_bits[cell] == 1 << colour
+        return colour_bits[cell] >> colour & 1
 
     cert = []
     for code in sorted((v for v, exp in span if exp == 0), key=space.order):
@@ -766,7 +789,10 @@ class _WordCodes:
         return itertools.filterfalse(self.full.isdisjoint, itertools.product(
             *map(self.near.__getitem__, code)))
 
-    cells = walk  # a word ball's cells are its members
+    levels = 1  # a word ball is one level: its members are its cells
+
+    def axis(self, level: int, code: tuple):
+        return self.walk(code)
 
 
 def word_candidates(alphabet: Alphabet, k: int, mode: str, length: int,

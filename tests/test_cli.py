@@ -108,6 +108,19 @@ class TestExitCodes:
         assert err.startswith("error: ") and "cap" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("command", [
+        ("search", "--N", "3"),
+        ("search", "--kind", "word", "--lengths", "1,2"),
+        ("pipeline", "--lengths", "1,2"),
+    ], ids=["vector", "word", "pipeline"])
+    def test_colours_over_cap_is_1(self, capfd, command):
+        # refused before any search makes its 1 << r mark
+        started = time.perf_counter()
+        code, out, err = run_inproc(capfd, *command, "--colours", "99999999999")
+        assert (code, out) == (1, "")
+        assert err == "error: 99999999999 colours exceed the cap of 1024\n"
+        assert time.perf_counter() - started < 5
+
     def _witness_file(self, capfd, tmp_path, **edits):
         code, out, _ = run_inproc(
             capfd, "search", "--mode", "signed", "--k", "1", "--N", "3",

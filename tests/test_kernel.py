@@ -17,6 +17,7 @@ from blockramsey import (
     enumerate_universe,
     search_approx,
     search_exact,
+    search_ghj,
 )
 from blockramsey.search import (
     _VectorKernel,
@@ -24,7 +25,8 @@ from blockramsey.search import (
     element_key,
     vector_ball,
 )
-from blockramsey.vectors import _tetris_entries, tetris_images
+from blockramsey.vectors import _tetris_entries, embed_delta, tetris_images
+from blockramsey.words import Alphabet
 
 KERNEL_COLOURINGS = [
     ("min-position-mod", 3), ("weighted-sum-mod", 2),
@@ -52,6 +54,15 @@ def _code(kernel, entries):
     return sum(v * kernel.B ** n for n, v in entries)
 
 
+def _box(kernel, code):
+    # the cells of code's ball, level by level through axis: each centre's
+    # sub-box centres in turn, so position 0 varies slowest
+    centres = [code]
+    for level in range(kernel.levels):
+        centres = [sub for centre in centres for sub in kernel.axis(level, centre)]
+    return centres
+
+
 def _colours(bits, r):
     return frozenset(c for c in range(r) if bits >> c & 1)
 
@@ -65,7 +76,7 @@ def test_grid_feasibility_and_neighbours_match_ball(k, N, spec, r):
         universe, kernel = _kernel(k, N, colouring, r, radius)
         for p in universe:
             ball = vector_ball(p, N, radius)
-            bits = list(map(kernel.colour, kernel.cells(_code(kernel, p.entries))))
+            bits = list(map(kernel.colour, _box(kernel, _code(kernel, p.entries))))
             # one bit per cell of the box: a member's colour bit, else 0
             vals = dict(p.entries)
             assert len(bits) == math.prod(
@@ -92,7 +103,7 @@ def test_grid_with_more_colours_than_a_machine_word():
             expected = frozenset(colouring(q)
                                  for q in vector_ball(p, 3, radius))
             bits = 0
-            for bit in map(kernel.colour, kernel.cells(_code(kernel, p.entries))):
+            for bit in map(kernel.colour, _box(kernel, _code(kernel, p.entries))):
                 bits |= bit
             assert _colours(bits, 70) == expected
 
@@ -236,3 +247,79 @@ def test_pinned_outcomes(problem, colouring, expected):
         digest = hashlib.sha256(
             canonical_json(res.to_dict()).encode()).hexdigest()[:16]
         assert digest == expected
+
+
+def _c0_buckets(p):
+    # f(x) = sum of 2^-(n+1) x_n over the delta = 0.5 embedding, a
+    # 1-Lipschitz function into [-1, 1], cut into 4 buckets of width 0.5
+    f = sum(x / 2 ** (n + 1) for n, x in embed_delta(p, 0.5).entries)
+    return min(3, int((f + 1) / 0.5))
+
+
+def _sha16(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+AB = Alphabet.make([["0", "a"]], "0")
+C0 = Colouring.custom(_c0_buckets, 4, name="c0-buckets")
+
+
+def _approx(fields, colouring):
+    return lambda: search_approx(SearchProblem(*fields, radius=1), colouring)
+
+
+def _words(k, r, colouring):
+    return lambda: search_ghj(AB, k, "signed", r, colouring, (2, 3), radius=1)
+
+
+# Radius-1 searches, each with its certificate: the number of colour calls,
+# and the first 16 hex digits of the SHA-256 of those calls' codes in call
+# order (one repr a line) and of the result's canonical JSON.  Recorded
+# from the search that walked each ball cell by cell, so they show that
+# reading balls through kept sub-boxes colours the same cells in the same
+# order and finds the same results.
+COLOUR_LOGS = [
+    pytest.param(_approx(("signed", 1, 3, 5, 3), Colouring.seeded(1, 3)),
+                 58, "f0875c18066d9f5d", "1712f52c3a24299c", id="seeded-k1-m3"),
+    pytest.param(_approx(("signed", 3, 2, 4, 3), Colouring.seeded(4, 2)),
+                 566, "be4ffd343dcfe105", "7e46a104a715bb64", id="seeded-k3-m3"),
+    pytest.param(_approx(("signed", 2, 9, 3, 3), Colouring.seeded(1, 9)),
+                 124, "f99602e2cbc0d040", "554c365fc92f56d8",
+                 id="seeded-k2-m3-exhausted"),
+    pytest.param(_approx(("signed", 2, 2, 5, 3),
+                         Colouring.family("weighted-sum-mod", 2)),
+                 301, "affa92e18092586b", "b3a0dd805fde26f8", id="family-k2-m3"),
+    pytest.param(_approx(("signed", 3, 3, 5, 3),
+                         Colouring.family("support-size-mod", 3)),
+                 1259, "7da0fa5b07735608", "fe37ea59567487af", id="family-k3-m3"),
+    pytest.param(_approx(("signed", 1, 2, 6, 3), SIGN),
+                 370, "d90d0c2af36d0fe2", "7b07dfa1d83bafdb", id="sign-k1-m3"),
+    pytest.param(_approx(("signed", 2, 2, 5, 2), SIGN),
+                 3124, "2b56a2726e85c4cc", "c49a75322927c062", id="sign-k2-m2"),
+    pytest.param(_approx(("signed", 3, 2, 4, 2), SIGN),
+                 2320, "0bb6507b48e1d5a9", "728566724b5ee65d", id="sign-k3-m2"),
+    pytest.param(_approx(("signed", 2, 3, 4, 3), NEG3),
+                 624, "91e63f1844aaf1d8", "c86d01dc47dd30aa",
+                 id="negative-count-k2-m3-exhausted"),
+    pytest.param(_approx(("signed", 3, 4, 5, 2), C0),
+                 8841, "18fe3c89fdddcdd2", "5611ead315ed6fc3", id="c0-buckets-k3-m2"),
+    pytest.param(_words(1, 3, Colouring.seeded(5, 3, arity="word")),
+                 29, "3808e2f33da7d008", "fbd868aeb63467e4", id="word-seeded-k1"),
+    pytest.param(_words(2, 2, Colouring.family("support-size-mod", 2, arity="word")),
+                 33, "b67725587da97f23", "0930262035e4322f", id="word-family-k2"),
+]
+
+
+@pytest.mark.parametrize("search,calls,log,result", COLOUR_LOGS)
+def test_colour_call_log_is_pinned(monkeypatch, search, calls, log, result):
+    codes = []
+    for space in (S._VectorKernel, S._WordCodes):
+        def logged(self, code, colour=space.colour):
+            codes.append(code)
+            return colour(self, code)
+
+        monkeypatch.setattr(space, "colour", logged)
+    res = search()
+    assert len(codes) == calls
+    assert _sha16("\n".join(map(repr, codes))) == log
+    assert _sha16(canonical_json(res.to_dict())) == result

@@ -587,8 +587,8 @@ class TestBalls:
             balls["end", i] = ()
         walks, reads = collections.Counter(), collections.Counter()
 
-        def cells(value):
-            # a cell is (value, n), the n-th member of value's ball
+        def axis(level, value):
+            # one level: a cell is (value, n), the n-th member of value's ball
             walks[value] += 1
             for n in range(len(balls[value])):
                 reads[value] += 1
@@ -599,7 +599,7 @@ class TestBalls:
                     *((("has", i, c), 0) for c in range(3)), (("end", i), 0)]
 
         space = SimpleNamespace(candidates=lambda prefix: range(len(wants)),
-                                pieces=pieces, cells=cells,
+                                pieces=pieces, levels=1, axis=axis,
                                 colour=lambda cell: balls[cell[0]][cell[1]])
         res = S._dfs(1, space, 3)
         assert res == Exhausted(6, 6)
@@ -611,6 +611,39 @@ class TestBalls:
         # walked once
         assert walks.pop("x") == 2 and reads["x"] == 1 + 3
         assert set(walks.values()) == {1}
+
+    def test_feasibility_resumes_sub_boxes(self):
+        # _dfs over two-level balls: x's box is the sub-boxes A (cells of
+        # colours 0, then 1) and B (colour 2), y's is A and C (colour 2);
+        # "zero" narrows the live colours to colour 0, and "end" has an
+        # empty ball, so every candidate dead-ends
+        boxes = {"x": "AB", "y": "AC", "zero": "Z", "end": "E"}
+        cells = {"A": (1, 2), "B": (4,), "C": (4,), "Z": (1,), "E": ()}
+        walks, reads = collections.Counter(), collections.Counter()
+
+        def axis(level, centre):
+            walks[level, centre] += 1
+            if level == 0:
+                yield from boxes[centre]
+                return
+            for n in range(len(cells[centre])):
+                reads[centre] += 1
+                yield centre, n
+
+        lists = [["zero", "x", "end"], ["x", "y", "end"], ["x", "y", "end"]]
+        space = SimpleNamespace(
+            candidates=lambda prefix: range(len(lists)),
+            pieces=lambda i: [(value, 0) for value in lists[i]],
+            levels=2, axis=axis, colour=lambda cell: cells[cell[0]][cell[1]])
+        assert S._dfs(1, space, 3) == Exhausted(3, 3)
+        # x asked for colour 0 reads A's first cell alone; asked for every
+        # colour, x is walked again and so is the partly walked A, from its
+        # start, to its end, and then B; y reads the whole A from its memo
+        # and walks only C; the third visit finds x and y's colours kept
+        assert walks[0, "x"] == 2 and walks[0, "y"] == 1
+        assert walks[1, "A"] == 2 and reads["A"] == 1 + 2
+        assert walks[1, "B"] == walks[1, "C"] == 1
+        assert reads["B"] == reads["C"] == 1
 
     def test_word_search_colours_only_what_it_needs(self):
         # the search stops each ball walk once every live colour is seen, so
@@ -1040,6 +1073,21 @@ class TestValidation:
             search_approx(SearchProblem(mode="signed", k=1, r=2, N=10**9, m=2,
                                         radius=1),
                           Colouring.family("support-size-mod", 2))
+
+    def test_colour_count_is_capped(self):
+        # MAX_COLOURS colours are allowed, one more is refused by every
+        # constructor, so no search, verifier or pipeline gets past it
+        assert S.MAX_COLOURS == 1024
+        res = search_approx(SearchProblem("signed", 1, 1024, 3, 2, radius=1),
+                            Colouring.seeded(0, 1024))
+        assert isinstance(res, Witness) and res.r == 1024
+        message = "^1025 colours exceed the cap of 1024$"
+        for make in (lambda: Colouring.seeded(0, 1025),
+                     lambda: Colouring.family("support-size-mod", 1025),
+                     lambda: Colouring.table({}, 1025, "word"),
+                     lambda: Colouring.custom(len, 1025, "vector_matrix")):
+            with pytest.raises(ValueError, match=message):
+                make()
 
     @pytest.mark.parametrize("blocks,N,message", [
         # one 13-entry block: 3^13 candidate pieces over its support
