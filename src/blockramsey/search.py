@@ -434,7 +434,6 @@ class _VectorKernel:
         # one at n and the lowest value at every position below
         self.least = [p + self.lo * (p - 1) // (self.B - 1) for p in self.powers]
         self.colouring = colouring
-        self.radius = problem.radius
         self.levels = problem.N if problem.radius else 0
         # Built bottom-up over the min support s: `every` codes the vectors
         # with min support above s, `full` those of them attaining magnitude
@@ -529,9 +528,9 @@ class _VectorKernel:
                 if 0 <= digit + d < self.B]
 
     def walk(self, code: int) -> Iterable[int]:
-        """The codes of iter_vector_ball's members around `code`, in order."""
+        """The codes of iter_vector_ball(decode(code), N, 1), in order."""
         return (sum(v * self.powers[n] for n, v in q.entries) for q in
-                iter_vector_ball(self.decode(code), len(self.powers), self.radius))
+                iter_vector_ball(self.decode(code), len(self.powers), 1))
 
     def pieces(self, code: int) -> list[tuple[int, int]]:
         """(code, tetris exponent) of every signed tetris image of a block."""
@@ -556,8 +555,9 @@ def _dfs(m: int, space, r: int):
 
     `space.axis(level, centre)` lists the centres of a box's sub-boxes in
     walk order, from a span element's ball at level 0 down to its cells at
-    level `space.levels`, and `space.colour(cell)` gives a cell's colour bit
-    (1 << c, or 0 for a vector cell outside the universe).
+    level `space.levels` (0 when the element has no ball and is its own
+    cell), and `space.colour(cell)` gives a cell's colour bit (1 << c, or 0
+    for a vector cell outside the universe).
 
     Each level keeps, per centre, the colour bits its box walk saw and a
     mark once the walk reached the box's end (as every cell has).  A walk
@@ -570,13 +570,13 @@ def _dfs(m: int, space, r: int):
 
     A node is one evaluated candidate prefix; a dead end is a node whose
     partial span already excludes every colour.  Returns the first
-    surviving prefix of m slots, its span, colour and bits by cell, or
-    Exhausted.
+    surviving prefix of m slots, its colour and its `_certificate`, whose
+    colour calls also go through `walk` into the cell memo, or Exhausted.
     """
     nodes = dead_ends = 0
     levels, axis = space.levels, space.axis
     whole = 1 << r  # above every colour bit, so `colours &= bits` drops it
-    colour_bits = {}  # cell -> its colour bit and `whole`, for the search
+    colour_bits = {}  # cell -> colour bit and `whole`, for search and certificate
     memos = [{} for _ in range(levels)] + [colour_bits]  # centre -> bits
     top = memos[0].get
 
@@ -620,36 +620,33 @@ def _dfs(m: int, space, r: int):
                 continue
             if len(prefix) + 1 == m:
                 # the witness colour is the least one the span keeps
-                return (prefix + [cand], span + fresh,
-                        (colours & -colours).bit_length() - 1, colour_bits)
+                colour = (colours & -colours).bit_length() - 1
+                return prefix + [cand], colour, _certificate(
+                    space, span + fresh, colour,
+                    lambda cell: colour_bits.get(cell) or walk(levels, cell, 0))
             found = extend(prefix + [cand], span + fresh, colours)
             if found is not None:
                 return found
         return None
 
-    found = extend([], [], (1 << r) - 1)
+    found = extend([], [], whole - 1)
     # extend and walk reach themselves through their closures; breaking
     # that cycle frees the memos now, not at the next cyclic collection
     del extend, walk
     return Exhausted(nodes, dead_ends) if found is None else found
 
 
-def _certificate(space, span, colour: int, colour_bits: dict) -> tuple:
+def _certificate(space, span, colour: int, bits) -> tuple:
     """The span's elements (exponent 0) in `space.order`, each with its
-    evidence: at radius 1 the first code of `space.walk(code)` with the
-    colour's bit, read from or else kept in the search's `colour_bits`, 1
-    away unless it is the element (integer metrics).  Each code's JSON dict
-    comes from `space.to_dict`."""
-    def on_colour(cell):
-        if cell not in colour_bits:
-            colour_bits[cell] = space.colour(cell)
-        return colour_bits[cell] >> colour & 1
-
+    evidence when the space has ball levels: the first code of
+    `space.walk(code)` whose `bits(cell)`, `_dfs`'s memo entry, holds the
+    colour's bit, 1 away unless it is the element (integer metrics).  Each
+    code's JSON dict comes from `space.to_dict`."""
     cert = []
     for code in sorted((v for v, exp in span if exp == 0), key=space.order):
         entry = {"element": space.to_dict(code), "colour": colour}
-        if space.radius:
-            nb = next(filter(on_colour, space.walk(code)))
+        if space.levels:
+            nb = next(c for c in space.walk(code) if bits(c) >> colour & 1)
             entry.update(neighbour=space.to_dict(nb), dist=int(nb != code))
         cert.append(entry)
     return tuple(cert)
@@ -661,11 +658,11 @@ def _vector_search(problem: SearchProblem, colouring: Colouring):
     found = _dfs(problem.m, kernel, problem.r)
     if isinstance(found, Exhausted):
         return found
-    prefix, span, colour, colour_bits = found
+    prefix, colour, certificate = found
     return Witness(
         kind="vector", mode=problem.mode, k=problem.k, r=problem.r, N=problem.N,
         radius=problem.radius, colour=colour, rule=colouring.rule_name(),
-        certificate=_certificate(kernel, span, colour, colour_bits),
+        certificate=certificate,
         blocks=BlockSequence(tuple(map(kernel.decode, prefix))),
     )
 
@@ -689,9 +686,10 @@ def _slot_symbols(alphabet: Alphabet, k: int, mode: str,
                   letters: Optional[Iterable] = None) -> list:
     """The symbols a generator may hold in symbol_key order: the given
     letters (every letter of the alphabet when None), then the variables
-    by index."""
+    by index.  Refuses more than MAX_UNIVERSE_CELLS before making any."""
     letters = sorted(alphabet.top if letters is None else letters,
                      key=W.letter_key)
+    check_cap(len(letters) + (k if mode == UNSIGNED else 2 * k), "word symbols")
     indices = range(1, k + 1) if mode == UNSIGNED else \
         [i for i in range(-k, k + 1) if i != 0]
     return [Letter(t) for t in letters] + [Var(i) for i in indices]
@@ -706,10 +704,12 @@ class _WordCodes:
     first reaches them and kept: a copy of a never-advanced tee re-reads the
     candidates made so far, then draws more.
 
-    A radius-1 ball (signed words only) is a product over places, as in
-    iter_word_ball: a nonzero letter stays, and the zero letter or v_i moves
-    to the places of the indices within 1 of its own, sorted by place; a
-    member has full class when it holds v_k or v_-k.
+    `levels` is 1 with a radius-1 ball (signed words only), whose members
+    are its cells, and 0 without, when the DFS colours each word directly.
+    The ball is a product over places, as in iter_word_ball: a nonzero
+    letter stays, and the zero letter or v_i moves to the places of the
+    indices within 1 of its own, sorted by place; a member has full class
+    when it holds v_k or v_-k.
 
     A code's JSON dict is built from a per-place table of each symbol's
     key and value.  A lifted colouring (`colouring.lift` set) is fed a
@@ -718,8 +718,9 @@ class _WordCodes:
 
     def __init__(self, alphabet: Alphabet, k: int, mode: str, radius: int,
                  colouring: Colouring, lengths: tuple, letters: Optional[Iterable]):
-        self.k, self.mode, self.alphabet, self.radius = k, mode, alphabet, radius
+        self.k, self.mode, self.alphabet = k, mode, alphabet
         self.colouring = colouring
+        self.levels = 1 if radius else 0
         self.table = _slot_symbols(alphabet, k, mode)
         self.place = {sym: p for p, sym in enumerate(self.table)}
         self._json = [("var", sym.index) if isinstance(sym, Var) else
@@ -730,7 +731,7 @@ class _WordCodes:
         self.slots = [itertools.tee(self._coded(slot, _full_class_words(
             k, mode, alphabet, [symbols] * ln)), 1)[0]
             for slot, ln in enumerate(lengths)]
-        if mode == SIGNED:
+        if radius:
             zero = alphabet.zero
             self.near = []
             for sym in self.table:
@@ -783,13 +784,9 @@ class _WordCodes:
         return 1 << self.colouring(self.k, self.mode, [self._pairs[p] for p in code])
 
     def walk(self, code: tuple):
-        """The codes of iter_word_ball(self.decode(code), radius), in its order."""
-        if not self.radius:
-            return (code,)
+        """The codes of iter_word_ball(self.decode(code), 1), in its order."""
         return itertools.filterfalse(self.full.isdisjoint, itertools.product(
             *map(self.near.__getitem__, code)))
-
-    levels = 1  # a word ball is one level: its members are its cells
 
     def axis(self, level: int, code: tuple):
         return self.walk(code)
@@ -827,12 +824,11 @@ def search_ghj(alphabet: Alphabet, k: int, mode: str, r: int,
     found = _dfs(len(lengths), space, r)
     if isinstance(found, Exhausted):
         return found
-    prefix, span, colour, colour_bits = found
+    prefix, colour, certificate = found
     return Witness(
         kind="word", mode=mode, k=k, r=r, radius=radius, colour=colour,
-        certificate=_certificate(space, span, colour, colour_bits),
+        certificate=certificate, rule=colouring.rule_name(),
         words=VarWordSequence(tuple(wrd for wrd, _ in prefix)), lengths=lengths,
-        rule=colouring.rule_name(),
     )
 
 
@@ -889,11 +885,11 @@ def oracle_span_words(Y: VarWordSequence) -> list[Word]:
     any.
     """
     letters = sorted(Y.alphabet.top, key=W.letter_key)
+    size = len(letters) + (Y.k if Y.mode == UNSIGNED else 2 * Y.k)
+    check_cap(sum(size ** len(gen) for gen in Y.words), "oracle pieces to try")
     indices = range(1, Y.k + 1) if Y.mode == UNSIGNED else \
         [i for i in range(-Y.k, Y.k + 1) if i != 0]
     symbols = [Letter(t) for t in letters] + [Var(i) for i in indices]
-    check_cap(sum(len(symbols) ** len(gen) for gen in Y.words),
-              "oracle pieces to try")
     slices = [
         [piece for piece in itertools.product(symbols, repeat=len(gen))
          if W._parse_segment(Y, pos, gen, piece) is not None]

@@ -32,9 +32,11 @@ MAX_UNIVERSE_CELLS = 10**6
 
 
 def check_cap(count: int, what: str) -> None:
-    """Refuse, in one line, a request to make `count` > MAX_UNIVERSE_CELLS things."""
+    """Refuse, in one line, a request to make `count` > MAX_UNIVERSE_CELLS
+    things; a count of 13 digits or more is shown as its power of ten."""
     if count > MAX_UNIVERSE_CELLS:
-        raise ValueError(f"{count} {what} exceed the cap of {MAX_UNIVERSE_CELLS}")
+        shown = count if count < 10**12 else f"about 10^{math.log10(count):.0f}"
+        raise ValueError(f"{shown} {what} exceed the cap of {MAX_UNIVERSE_CELLS}")
 
 
 def check_mode_k(mode, k) -> None:

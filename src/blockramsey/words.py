@@ -408,14 +408,15 @@ def _slot_pieces(gen: Word, level: int, neg_t: bool = False):
     neg_t, so that the piece is (-T)^j(gen)) and gen[lam] for every lam
     over that level, in that order.  Exponent 0 marks a piece of full
     class k, which is gen itself or, signed, its reflection.  Refuses more
-    than MAX_UNIVERSE_CELLS substitutions before making any.
+    than MAX_UNIVERSE_CELLS tetris pieces or substitutions before making any.
     """
     k = gen.k
     arity = k if gen.mode == UNSIGNED else 2 * k
+    signs = (1, -1) if gen.mode == SIGNED and not neg_t else (1,)
+    check_cap(len(signs) * (k + 1), "tetris pieces")
     if neg_t:
         opts = [((-1) ** j, j, None) for j in range(k + 1)]
     else:
-        signs = (1, -1) if gen.mode == SIGNED else (1,)
         opts = [(s, j, None) for j in range(k + 1) for s in signs]
     letters = gen.alphabet.letters(level)
     check_cap(len(letters) ** arity, "substitution pieces")

@@ -19,6 +19,17 @@ PAIR_WORDS = json.dumps([
 ])
 
 
+def _one_word(k, witness=False):
+    # a JSON list holding the signed word v_k, or a radius-0 witness of it
+    words = [{"k": k, "mode": "signed", "symbols": [{"var": k}]}]
+    if not witness:
+        return json.dumps(words)
+    return json.dumps({"kind": "word", "mode": "signed", "k": k, "r": 2,
+                       "radius": 0, "colour": 0, "certificate": [],
+                       "rule": "seeded:0", "lengths": [1], "words": words,
+                       "alphabet": {"levels": [["0", "a"]], "zero": "0"}})
+
+
 def run_cli(*args):
     proc = subprocess.run(
         [sys.executable, "-m", "blockramsey.cli", *args],
@@ -324,6 +335,43 @@ class TestExitCodes:
         assert err == ("error: 43053372 oracle pieces to try exceed the cap "
                        "of 1000000\n")
         assert time.perf_counter() - started < 5
+
+    @pytest.mark.parametrize("command,message", [
+        (("search", "--kind", "word", "--mode", "signed", "--k", "3000000",
+          "--lengths", "1,2"), "6000008 word symbols"),
+        (("search", "--kind", "word", "--mode", "unsigned", "--k", "3000000",
+          "--lengths", "1,2"), "3000008 word symbols"),
+        (("pipeline", "--k", "3000000", "--lengths", "1,2"), "3000004 word symbols"),
+        (("verify", "--witness", _one_word(30000000, witness=True)),
+         "60000002 oracle pieces to try"),
+        (("span", "--kind", "words", "--words", _one_word(3000000)),
+         "6000002 tetris pieces"),
+        (("span", "--kind", "neg-t", "--words", _one_word(3000000)),
+         "3000001 tetris pieces"),
+    ], ids=["search-signed", "search-unsigned", "pipeline", "verify",
+            "span-words", "span-neg-t"])
+    def test_huge_word_k_is_1(self, capfd, command, message):
+        # each once built every variable symbol or tetris piece before its
+        # cap: a MemoryError, or a refusal after seconds
+        started = time.perf_counter()
+        code, out, err = run_inproc(capfd, *command)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message} exceed the cap of 1000000\n"
+        assert time.perf_counter() - started < 5
+
+    @pytest.mark.parametrize("command,power", [
+        (("search", "--kind", "word", "--mode", "signed", "--k", "300",
+          "--lengths", "1,2"), 181),
+        (("span", "--kind", "words", "--words", _one_word(1000)), 602),
+        (("span", "--kind", "words", "--words", _one_word(100000)), 60206),
+    ], ids=["search-k300", "span-k1000", "span-k100000"])
+    def test_huge_count_is_shown_as_a_power_of_ten(self, capfd, command, power):
+        # once printed in full: 181 and 603 digits, and past 4,300 digits
+        # Python's own refusal to convert the count
+        code, out, err = run_inproc(capfd, *command)
+        assert (code, out) == (1, "")
+        assert err == (f"error: about 10^{power} substitution pieces exceed "
+                       "the cap of 1000000\n")
 
     @pytest.mark.parametrize("blocks", ['{"entries":5}', '[5]', '[{"entries":5}]'])
     def test_span_malformed_blocks_is_1(self, capfd, blocks):

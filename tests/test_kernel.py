@@ -5,6 +5,7 @@ scalar `Colouring.seeded` oracles, plus pinned search outcomes."""
 
 import hashlib
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,8 +14,10 @@ from blockramsey import (
     BlockVector,
     Colouring,
     Exhausted,
+    PipelineBounds,
     SearchProblem,
     enumerate_universe,
+    parametrized_pipeline,
     search_approx,
     search_exact,
     search_ghj,
@@ -84,6 +87,8 @@ def test_grid_feasibility_and_neighbours_match_ball(k, N, spec, r):
                 for n in range(N))
             assert sorted(b for b in bits if b) == \
                 sorted(1 << colouring(q) for q in ball)
+            if not radius:
+                continue  # a radius-0 certificate names no neighbour
             # the certificate's neighbour: the first member of the walk with
             # the colour is the least such member in canonical order
             for colour in {colouring(q) for q in ball}:
@@ -307,6 +312,42 @@ COLOUR_LOGS = [
                  29, "3808e2f33da7d008", "fbd868aeb63467e4", id="word-seeded-k1"),
     pytest.param(_words(2, 2, Colouring.family("support-size-mod", 2, arity="word")),
                  33, "b67725587da97f23", "0930262035e4322f", id="word-family-k2"),
+]
+
+
+def _pipeline(colouring, bounds):
+    # the pipeline, summed up by its source words, B, colour and verdict
+    def run():
+        res = parametrized_pipeline(colouring, bounds)
+        return SimpleNamespace(to_dict=lambda: {
+            "source": res.pair.source.to_list(), "B": res.pair.B.to_list(),
+            "colour": res.colour, "passed": res.passed})
+    return run
+
+
+# Radius-0 searches, pinned as in COLOUR_LOGS and recorded while radius-0
+# word searches still walked a one-cell ball through a per-element memo
+# in front of the cell memo, so they show that reading the cell memo
+# directly colours the same cells in the same order.
+COLOUR_LOGS += [
+    pytest.param(lambda: search_ghj(
+        AB, 1, "unsigned", 2,
+        Colouring.family("value-at-min-support", 2, arity="word"), (1, 3, 5)),
+        37, "baf18a560b5383f9", "21eebfd527f27d38", id="word-unsigned-k1"),
+    pytest.param(lambda: search_ghj(
+        AB, 1, "signed", 2,
+        Colouring.family("value-at-min-support", 2, arity="word"), (1, 2, 4),
+        radius=0),
+        98, "1769f08206d0f046", "22a067f118358cf1", id="word-signed-radius0-k1"),
+    pytest.param(_pipeline(Colouring.seeded(1, 2, arity="vector_matrix"),
+                           PipelineBounds(mode="unsigned", k=1, lengths=(2, 3))),
+                 83, "c977d43a4874f588", "c07af39d1e710550", id="pipeline-unsigned-k1"),
+    pytest.param(lambda: search_exact(SearchProblem("signed", 2, 2, 5, 2),
+                                      Colouring.family("weighted-sum-mod", 2)),
+                 1390, "c78bdbcf79581e13", "706433f517eef360", id="exact-family-k2-m2"),
+    pytest.param(lambda: search_exact(SearchProblem("signed", 1, 2, 5, 2),
+                                      Colouring.seeded(3, 2)),
+                 34, "83efc0a58b351eb0", "b9ba3539f1ea7055", id="exact-seeded-k1-m2"),
 ]
 
 

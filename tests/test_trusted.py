@@ -69,9 +69,7 @@ def test_decoded_words_equal_validated_ones(alphabet, k, lengths):
         space.colour = lambda code: codes.add(code) or colour(code)
         space.pieces = lambda cand: codes.update(
             code for code, _ in pieces(cand)) or pieces(cand)
-        found = S._dfs(len(lengths), space, 2)
-        if isinstance(found, tuple):
-            S._certificate(space, *found[1:])
+        S._dfs(len(lengths), space, 2)  # its certificate's walks included
     assert len(codes) > 50
     for code in codes:
         trusted = space.decode(code)

@@ -214,6 +214,18 @@ class TestSpan:
                                              "exceed the cap of 1000000$"):
             span(seq)
 
+    @pytest.mark.parametrize("count,shown", [
+        (16777216, "16777216"), (10**12 - 1, "999999999999"),
+        (10**12, "about 10^12"), (2**2000, "about 10^602"),
+        (16**600000, "about 10^722472"),
+    ], ids=["8-digits", "12-digits", "13-digits", "603-digits", "722473-digits"])
+    def test_cap_shows_a_huge_count_as_a_power_of_ten(self, count, shown):
+        # in full up to 12 digits, as in every pinned refusal; past 4,300
+        # digits Python refuses to print an int at all
+        with pytest.raises(ValueError) as info:
+            V.check_cap(count, "things")
+        assert str(info.value) == f"{shown} things exceed the cap of 1000000"
+
     def test_word_spans_over_the_cap_fail_before_combining(self, monkeypatch):
         from blockramsey import words as W
         ab = W.Alphabet.make([["0", "a"]], "0")
