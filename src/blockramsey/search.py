@@ -59,7 +59,6 @@ from .vectors import (
     check_mode_k,
     json_field,
     linf_dist,
-    span_step,
     tetris_images,
 )
 from .words import Alphabet, Letter, Var, VarWordSequence, Word, classify
@@ -79,10 +78,13 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+_FNV_PRIME = 0x100000001B3
+
+
 def _fnv1a(data: bytes, h: int = 0xCBF29CE484222325) -> int:
     # h: the state to resume from; the default is FNV-1a's offset basis
     for byte in data:
-        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+        h = ((h ^ byte) * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
     return h
 
 
@@ -465,6 +467,13 @@ class _VectorKernel:
                         for v in values if v}
         self._tail = _KEY_TAIL.format(self.k, self.mode).encode()
         self._states = {0: _fnv1a(_KEY_HEAD.encode())}
+        # FNV-1a over the tail is affine in the state: (h ^ byte) moves only
+        # h's low byte, and a product's low byte mod 2**64 depends only on
+        # its factors' low bytes, so _fnv1a(tail, h) is h * P**len(tail)
+        # plus a term that depends only on h & 0xFF, kept in _tail_terms
+        # (at most 256 entries, each made when first needed)
+        self._tail_power = pow(_FNV_PRIME, len(self._tail), 1 << 64)
+        self._tail_terms = {}
 
     def _entries(self, code: int) -> list[tuple[int, int]]:
         """The (position, value) entries of the vector with this code."""
@@ -515,9 +524,18 @@ class _VectorKernel:
         if self.colouring.seed is None:
             return 1 << self.colouring(self.decode(code))
         # Colouring.seeded, resumed from the prefix's state
-        h = _fnv1a(self._tail, self._state(code))
+        h = self._after_tail(self._state(code))
         h ^= self.colouring.seed & 0xFFFFFFFFFFFFFFFF
         return 1 << _splitmix64(h) % self.colouring.r
+
+    def _after_tail(self, h: int) -> int:
+        """_fnv1a(self._tail, h), as one multiply-add and a table entry."""
+        low, power = h & 0xFF, self._tail_power
+        term = self._tail_terms.get(low)
+        if term is None:
+            term = self._tail_terms[low] = \
+                (_fnv1a(self._tail, low) - low * power) & 0xFFFFFFFFFFFFFFFF
+        return (h * power + term) & 0xFFFFFFFFFFFFFFFF
 
     def axis(self, level: int, centre: int) -> list[int]:
         """The centres of the sub-boxes of `centre`'s radius-1 box at
@@ -550,8 +568,10 @@ def _dfs(m: int, space, r: int):
     `space.candidates(prefix)` lists the next slot's candidates in canonical
     order, and `space.pieces(cand)` a candidate's distinct span pieces as
     (value, exponent) pairs.  A candidate adds to its prefix's span the
-    elements `span_step` makes from its pieces (integer codes of vectors or
-    tuple codes of words), and exponent 0 marks a span element.
+    elements `vectors.span_step` makes from its pieces (integer codes of
+    vectors or tuple codes of words), and exponent 0 marks a span element.
+    They are built here in `span_step`'s order and each span element is
+    checked as soon as it is made, so a dead end stops the building.
 
     `space.axis(level, centre)` lists the centres of a box's sub-boxes in
     walk order, from a span element's ball at level 0 down to its cells at
@@ -605,16 +625,34 @@ def _dfs(m: int, space, r: int):
         nonlocal nodes, dead_ends
         for cand in space.candidates(prefix):
             nodes += 1
-            fresh = span_step(span, space.pieces(cand))
-            colours = want
-            for value, exp in fresh:
-                if exp == 0:
+            # span_step(span, space.pieces(cand)), each span element checked
+            # as soon as it is made, and nothing made past a dead end
+            fresh, colours = [], want
+            add = fresh.append
+            for value, exp in space.pieces(cand):
+                add((value, exp))
+                if not exp:
                     bits = top(value, 0)
                     if bits & colours != colours and not bits & whole:
                         bits = walk(0, value, colours)
                     colours &= bits
                     if not colours:
                         break
+                for v, e in span:
+                    if e and exp:
+                        add((v + value, e if e < exp else exp))
+                        continue
+                    v += value
+                    add((v, 0))
+                    bits = top(v, 0)
+                    if bits & colours != colours and not bits & whole:
+                        bits = walk(0, v, colours)
+                    colours &= bits
+                    if not colours:
+                        break
+                else:
+                    continue
+                break
             if not colours:
                 dead_ends += 1
                 continue

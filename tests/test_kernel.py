@@ -5,6 +5,7 @@ scalar `Colouring.seeded` oracles, plus pinned search outcomes."""
 
 import hashlib
 import math
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -28,7 +29,12 @@ from blockramsey.search import (
     element_key,
     vector_ball,
 )
-from blockramsey.vectors import _tetris_entries, embed_delta, tetris_images
+from blockramsey.vectors import (
+    _tetris_entries,
+    embed_delta,
+    span_step,
+    tetris_images,
+)
 from blockramsey.words import Alphabet
 
 KERNEL_COLOURINGS = [
@@ -172,6 +178,21 @@ def test_seeded_colours_resumed_from_prefixes_match_colouring_seeded(
         kernel = _VectorKernel(SearchProblem(mode, k, r, N, 1), colouring)
         for code in reversed(kernel.codes):
             assert kernel.colour(code) == 1 << reference(kernel.decode(code))
+
+
+# the tails of k = 1, 9, 10 and 1000 run from 24 to 29 bytes
+@pytest.mark.parametrize("mode", ["unsigned", "signed"])
+@pytest.mark.parametrize("k", [1, 9, 10, 1000])
+def test_tail_table_resumes_fnv1a(mode, k):
+    # FNV-1a over the fixed key tail is h * P**len(tail) plus a term of
+    # h's low byte alone: every low byte, then random 64-bit states
+    kernel = _VectorKernel(SearchProblem(mode, k, 2, 1, 1), Colouring.seeded(0, 2))
+    assert kernel._tail == S._KEY_TAIL.format(k, mode).encode()
+    rng = random.Random(k)
+    states = [*range(256), 2 ** 64 - 1, *(rng.getrandbits(64) for _ in range(300))]
+    for h in states:
+        assert kernel._after_tail(h) == S._fnv1a(kernel._tail, h)
+    assert len(kernel._tail_terms) == 256
 
 
 @pytest.mark.parametrize("mode,k,N", UNIVERSES)
@@ -351,6 +372,30 @@ COLOUR_LOGS += [
 ]
 
 
+# Radius-0 exhaustions, pinned as in COLOUR_LOGS and recorded while `_dfs`
+# built a candidate's whole `span_step` list before checking any of it, so
+# they show that checking each span element as it is made, and building
+# nothing past a dead end, colours the same cells in the same order.
+COLOUR_LOGS += [
+    pytest.param(lambda: search_exact(SearchProblem("signed", 1, 2, 7, 3),
+                                      Colouring.seeded(0, 2)),
+                 2186, "4565c33812f703da", "675c77971d9cf2ac",
+                 id="exact-seeded-k1-m3-exhausted"),
+    pytest.param(lambda: search_exact(SearchProblem("signed", 2, 2, 5, 2),
+                                      Colouring.seeded(0, 2)),
+                 2882, "67ce4220069c9093", "dd6718e4498b71e2",
+                 id="exact-seeded-k2-m2-exhausted"),
+    pytest.param(lambda: search_exact(SearchProblem("unsigned", 2, 2, 6, 3),
+                                      Colouring.seeded(0, 2)),
+                 665, "5d32524a15b67c8b", "5fc04ef8c106e26a",
+                 id="exact-unsigned-k2-m3-exhausted"),
+    pytest.param(lambda: search_exact(SearchProblem("signed", 3, 2, 4, 2),
+                                      Colouring.seeded(0, 2)),
+                 1776, "f815d5ab4418fadf", "78daf596efc36629",
+                 id="exact-seeded-k3-m2-exhausted"),
+]
+
+
 @pytest.mark.parametrize("search,calls,log,result", COLOUR_LOGS)
 def test_colour_call_log_is_pinned(monkeypatch, search, calls, log, result):
     codes = []
@@ -364,3 +409,59 @@ def test_colour_call_log_is_pinned(monkeypatch, search, calls, log, result):
     assert len(codes) == calls
     assert _sha16("\n".join(map(repr, codes))) == log
     assert _sha16(canonical_json(res.to_dict())) == result
+
+
+# witnesses of two or three slots, vectors at k = 1, 2, 3 and words
+SURVIVORS = [
+    pytest.param(lambda: search_exact(SearchProblem("signed", 1, 2, 6, 3),
+                                      Colouring.family("weighted-sum-mod", 2)),
+                 id="exact-k1-m3"),
+    pytest.param(lambda: search_exact(SearchProblem("signed", 2, 2, 5, 2),
+                                      Colouring.family("weighted-sum-mod", 2)),
+                 id="exact-k2-m2"),
+    pytest.param(lambda: search_exact(SearchProblem("signed", 3, 2, 4, 2),
+                                      Colouring.family("weighted-sum-mod", 2)),
+                 id="exact-k3-m2"),
+    pytest.param(lambda: search_exact(SearchProblem("unsigned", 2, 2, 6, 3),
+                                      Colouring.family("weighted-sum-mod", 2)),
+                 id="exact-unsigned-k2-m3"),
+    pytest.param(_approx(("signed", 1, 3, 5, 3), Colouring.seeded(1, 3)),
+                 id="approx-k1-m3"),
+    pytest.param(_approx(("signed", 2, 2, 5, 3), Colouring.seeded(1, 2)),
+                 id="approx-k2-m3"),
+    pytest.param(_approx(("signed", 3, 2, 4, 3), Colouring.seeded(4, 2)),
+                 id="approx-k3-m3"),
+    pytest.param(_words(1, 3, Colouring.seeded(5, 3, arity="word")),
+                 id="word-radius1-k1"),
+    pytest.param(_words(2, 2, Colouring.family("support-size-mod", 2, arity="word")),
+                 id="word-radius1-k2"),
+    pytest.param(lambda: search_ghj(
+        AB, 1, "signed", 2,
+        Colouring.family("value-at-min-support", 2, arity="word"), (1, 2, 4),
+        radius=0), id="word-radius0-k1"),
+]
+
+
+@pytest.mark.parametrize("search", SURVIVORS)
+def test_survivors_carry_the_span_step_fold(monkeypatch, search):
+    # `_dfs` builds a candidate's span elements itself and stops at a dead
+    # end; the span a witness hands `_certificate` is still the fold of
+    # span_step over its slots' pieces, element for element, in order
+    dfs, certificate, runs, spans = S._dfs, S._certificate, [], []
+
+    def recorded_dfs(m, space, r):
+        runs.append((space, dfs(m, space, r)))
+        return runs[-1][1]
+
+    def recorded_certificate(space, span, colour, bits):
+        spans.append(span)
+        return certificate(space, span, colour, bits)
+
+    monkeypatch.setattr(S, "_dfs", recorded_dfs)
+    monkeypatch.setattr(S, "_certificate", recorded_certificate)
+    assert isinstance(search(), S.Witness)
+    (space, (prefix, _, _)), = runs
+    want = []
+    for cand in prefix:
+        want += span_step(want, space.pieces(cand))
+    assert len(prefix) > 1 and spans == [want]

@@ -202,7 +202,7 @@ class TestSpan:
 
         for name in ("span", "span_combinations", "span_step", "tetris_images"):
             monkeypatch.setattr(V, name, forbidden)
-        for name in ("_VectorKernel", "span_step", "tetris_images"):
+        for name in ("_VectorKernel", "tetris_images"):
             monkeypatch.setattr(S, name, forbidden)
         assert oracle_span_vectors(seq) == want
 
