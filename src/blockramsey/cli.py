@@ -99,6 +99,8 @@ def _table_from_file(path: str) -> tuple[dict, int | None]:
 
 def _colouring_from_args(args, arity: str) -> Colouring:
     r = args.colours
+    if args.table and args.family:
+        raise ValueError("give --table or --family, not both")
     if args.table:
         mapping, default = _table_from_file(args.table)
         return Colouring.table(mapping, r, arity, default=default)

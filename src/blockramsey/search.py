@@ -562,7 +562,7 @@ class _VectorKernel:
         return out
 
 
-def _dfs(m: int, space, r: int):
+def _dfs(m: int, space, r: int, certify: bool = True):
     """Least m-slot prefix, in canonical order, whose span keeps a colour.
 
     `space.candidates(prefix)` lists the next slot's candidates in canonical
@@ -592,6 +592,7 @@ def _dfs(m: int, space, r: int):
     partial span already excludes every colour.  Returns the first
     surviving prefix of m slots, its colour and its `_certificate`, whose
     colour calls also go through `walk` into the cell memo, or Exhausted.
+    With `certify` false the certificate is `()` and is never built.
     """
     nodes = dead_ends = 0
     levels, axis = space.levels, space.axis
@@ -659,6 +660,8 @@ def _dfs(m: int, space, r: int):
             if len(prefix) + 1 == m:
                 # the witness colour is the least one the span keeps
                 colour = (colours & -colours).bit_length() - 1
+                if not certify:
+                    return prefix + [cand], colour, ()
                 return prefix + [cand], colour, _certificate(
                     space, span + fresh, colour,
                     lambda cell: colour_bits.get(cell) or walk(levels, cell, 0))
@@ -840,14 +843,16 @@ def word_candidates(alphabet: Alphabet, k: int, mode: str, length: int,
 def search_ghj(alphabet: Alphabet, k: int, mode: str, r: int,
                colouring: Colouring, lengths: Iterable[int],
                radius: Optional[int] = None,
-               letters: Optional[Iterable] = None):
+               letters: Optional[Iterable] = None, *, certify: bool = True):
     """Least rapidly increasing word sequence with the requested lengths whose
     span is monochromatic (exactly, or within the radius-1 fattening).
 
     Generator lengths are exact and must themselves increase rapidly, so
     every assembled sequence is structurally valid.  `letters` optionally
     restricts the letters available for generator content (substitution
-    letters still follow the per-slot level grading).
+    letters still follow the per-slot level grading).  With `certify` false
+    the returned Witness has an empty certificate, which `verify_witness`
+    does not read; the search itself is the same.
     """
     if radius is None:
         radius = 0 if mode == UNSIGNED else 1
@@ -859,7 +864,7 @@ def search_ghj(alphabet: Alphabet, k: int, mode: str, r: int,
         raise ValueError("generator lengths must increase rapidly")
     _check_colouring(colouring, "word", r, "the search")
     space = _WordCodes(alphabet, k, mode, radius, colouring, lengths, letters)
-    found = _dfs(len(lengths), space, r)
+    found = _dfs(len(lengths), space, r, certify=certify)
     if isinstance(found, Exhausted):
         return found
     prefix, colour, certificate = found
@@ -1132,8 +1137,9 @@ def parametrized_pipeline(colouring: Colouring, bounds: PipelineBounds):
     cols = depth + 1
     content = [t for t in alphabet.top if len(t) <= bounds.letter_level + 1]
     lifted = _lift(colouring, cols)
+    # only the words and colour are read, so no certificate is built
     found = search_ghj(alphabet, bounds.k, bounds.mode, colouring.r,
-                       lifted, bounds.lengths, letters=content)
+                       lifted, bounds.lengths, letters=content, certify=False)
     if isinstance(found, Exhausted):
         return found
     pair = derived_pair(found.words, cols)

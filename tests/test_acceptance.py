@@ -557,6 +557,9 @@ def test_c10_cli_golden_files():
         (["pipeline", "--mode", "unsigned", "--k", "1", "--lengths", "1,2,4,8",
           "--family", "support-size-mod", "--samples", "60"],
          "pipeline_unsigned_1248.json", 0),
+        (["pipeline", "--mode", "unsigned", "--k", "1", "--lengths", "1,2,4,8",
+          "--family", "value-at-min-support", "--samples", "60"],
+         "pipeline_unsigned_1248_vams.json", 0),
         (["selftest", "--seed", "0"], "selftest.json", 0),
         # signed k=2 over four pairs: pair 0 is substituted away by the
         # zero letter, block 1 enters as -b and block 2 as +T(b), and the

@@ -549,6 +549,23 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("args", [
+        ("search", "--N", "3", "--m", "1"),
+        ("verify", "--witness", f"@{GOLDEN / 'search_witness.json'}"),
+        ("pipeline", "--lengths", "2,3", "--samples", "4"),
+    ])
+    def test_table_with_family_is_1(self, capfd, tmp_path, args):
+        # each names the colouring; the table once won and the family was
+        # dropped without a word
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"mapping": {}, "default": 0}))
+        code, _, _ = run_inproc(capfd, *args, "--table", str(path))
+        assert code == 0  # the table alone colours the run
+        code, out, err = run_inproc(capfd, *args, "--table", str(path),
+                                    "--family", "support-size-mod")
+        assert code == 1 and out == ""
+        assert err == "error: give --table or --family, not both\n"
+
     @pytest.mark.parametrize("option", [("--mode", "signed"), ("--k", "2")])
     def test_dist_takes_no_mode_or_k(self, capfd, option):
         with pytest.raises(SystemExit) as exc:

@@ -449,8 +449,8 @@ def test_survivors_carry_the_span_step_fold(monkeypatch, search):
     # span_step over its slots' pieces, element for element, in order
     dfs, certificate, runs, spans = S._dfs, S._certificate, [], []
 
-    def recorded_dfs(m, space, r):
-        runs.append((space, dfs(m, space, r)))
+    def recorded_dfs(m, space, r, *args, **kwargs):
+        runs.append((space, dfs(m, space, r, *args, **kwargs)))
         return runs[-1][1]
 
     def recorded_certificate(space, span, colour, bits):

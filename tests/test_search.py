@@ -8,6 +8,7 @@ import itertools
 import json
 import random
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -791,6 +792,30 @@ def test_vector_search_colours_each_vector_once(colouring, k, N, m, radius,
         assert digest == outcome
 
 
+# colour 0 when a vector's first and last nonzero entries share a sign: for
+# blocks b1 < b2, b1 + b2 and b1 - b2 share b1's first entry but end in
+# opposite signs, so no two blocks have a monochromatic span
+END_SIGNS = Colouring.custom(
+    lambda p: int((p.entries[0][1] > 0) != (p.entries[-1][1] > 0)), 2,
+    name="end-signs")
+
+
+@pytest.mark.parametrize("N,m", [(N, 2) for N in range(3, 9)] + [(6, 3)])
+def test_end_signs_exhausts_with_known_counts(N, m):
+    # the first slot tries all 3^N - 1 vectors, none a dead end, and every
+    # one of the (2N - 3) * 3^(N - 1) + 1 block pairs is a dead end
+    res = search_exact(SearchProblem("signed", 1, 2, N, m), END_SIGNS)
+    assert res == Exhausted(nodes=2 * N * 3 ** (N - 1),
+                            dead_ends=(2 * N - 3) * 3 ** (N - 1) + 1)
+
+
+@pytest.mark.parametrize("N", [4, 5])
+def test_end_signs_has_a_radius1_witness(N):
+    res = search_approx(SearchProblem("signed", 1, 2, N, 2, radius=1), END_SIGNS)
+    assert isinstance(res, Witness)
+    assert verify_witness(res, END_SIGNS).passed
+
+
 def test_word_search_makes_only_the_words_it_visits(monkeypatch):
     # the signed (1, 2, 4, 8) level-1 slot holds 6^8 symbol strings; the
     # search dead-ends on its first two length-1 candidates, so it must make
@@ -810,6 +835,96 @@ def test_word_search_makes_only_the_words_it_visits(monkeypatch):
                        letter_level=1, seed=2))
     assert res == Exhausted(nodes=2, dead_ends=2)
     assert made < 1000
+
+
+def _pipeline_search(colouring, lengths, letter_level):
+    """The alphabet, lifted colouring and content letters of the word search
+    `parametrized_pipeline` runs for these bounds."""
+    depth = max(letter_level, len(lengths) - 1)
+    alphabet = bitstring_alphabet(depth)
+    content = [t for t in alphabet.top if len(t) <= letter_level + 1]
+    return alphabet, S._lift(colouring, depth + 1), content
+
+
+LIFT_SOURCES = [Colouring.seeded(0, 2, arity="vector_matrix")] + [
+    Colouring.family(name, 2, arity="vector_matrix") for name in FAMILIES]
+# (alphabet, k, mode, colouring, lengths, radius, letters) of word searches
+UNCERTIFIED = [
+    pytest.param(alphabet, 1, mode, lifted, lengths, None, content,
+                 id=f"lifted-{mode}-{len(lengths)}-l{level}-{c.rule_name()}")
+    for mode in ("unsigned", "signed") for lengths in ((2, 3), (1, 2, 4, 8))
+    for level in (0, 1) for c in LIFT_SOURCES
+    for alphabet, lifted, content in [_pipeline_search(c, lengths, level)]
+] + [
+    pytest.param(AB, k, mode, c, lengths, radius, None,
+                 id=f"word-{mode}-k{k}-{len(lengths)}-r{radius}-{c.rule_name()}")
+    for c in ([Colouring.seeded(seed, 2, arity="word") for seed in range(3)]
+              + [Colouring.family(name, 2, arity="word") for name in FAMILIES])
+    for k, mode, lengths, radius in [(1, "unsigned", (1, 3, 5), 0),
+                                     (1, "signed", (1, 2, 4), 0),
+                                     (1, "signed", (1, 2, 4), 1),
+                                     (2, "signed", (1, 2), 1)]
+]
+
+
+@pytest.mark.parametrize("alphabet,k,mode,colouring,lengths,radius,letters",
+                         UNCERTIFIED)
+def test_an_uncertified_search_differs_only_in_its_certificate(
+        alphabet, k, mode, colouring, lengths, radius, letters):
+    full, lean = (search_ghj(alphabet, k, mode, 2, colouring, lengths,
+                             radius=radius, letters=letters, **certify)
+                  for certify in ({}, {"certify": False}))
+    if isinstance(full, Exhausted):
+        assert lean == full  # nodes and dead ends included
+    else:
+        assert lean.certificate == ()
+        assert lean == dataclasses.replace(full, certificate=())
+
+
+def test_the_pipeline_builds_no_certificate(monkeypatch):
+    calls = 0
+    certificate = S._certificate
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return certificate(*args)
+
+    monkeypatch.setattr(S, "_certificate", counted)
+    for name in ("value-at-min-support", "support-size-mod"):
+        res = parametrized_pipeline(
+            Colouring.family(name, 2, arity="vector_matrix"),
+            PipelineBounds(mode="unsigned", k=1, lengths=(1, 2, 4, 8),
+                           sample_count=60))
+        assert isinstance(res, PipelineResult) and res.passed
+    res = parametrized_pipeline(
+        Colouring.family("support-size-mod", 2, arity="vector_matrix"),
+        PipelineBounds(mode="signed", k=1, lengths=(2, 3), sample_count=8))
+    assert isinstance(res, PipelineResult) and res.passed
+    assert calls == 0
+    # the hook is live: a search with the default does call it
+    assert isinstance(search_ghj(
+        AB, 1, "unsigned", 2,
+        Colouring.family("value-at-min-support", 2, arity="word"), (1,)),
+        Witness)
+    assert calls == 1
+
+
+def test_the_pipeline_search_stays_small():
+    # the unsigned (1, 2, 4, 8) family witness has 2,025 span elements; a
+    # certificate of their JSON dicts peaked at 7.78 MB, the search and the
+    # 60-draw sample check without it at 0.35 MB
+    bounds = PipelineBounds(mode="unsigned", k=1, lengths=(1, 2, 4, 8),
+                            sample_count=60)
+    colouring = Colouring.family("value-at-min-support", 2, arity="vector_matrix")
+    tracemalloc.start()
+    try:
+        res = parametrized_pipeline(colouring, bounds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(res, PipelineResult) and res.passed
+    assert peak < 2 * 1024 * 1024, f"peak {peak / 2**20:.2f} MB"
 
 
 class TestPipeline:
