@@ -97,16 +97,22 @@ def _table_from_file(path: str) -> tuple[dict, int | None]:
     return mapping, default
 
 
-def _colouring_from_args(args, arity: str) -> Colouring:
+def _colouring_from_args(args, arity: str, sampling: bool = False) -> Colouring:
+    # --seed, None when left out, seeds a seeded colouring and, with
+    # `sampling`, a pipeline's samples; beside a table or a family it would
+    # otherwise go unused, so it is refused there
     r = args.colours
     if args.table and args.family:
         raise ValueError("give --table or --family, not both")
+    named = "--table" if args.table else "--family" if args.family else None
+    if named and args.seed is not None and not sampling:
+        raise ValueError(f"give --seed or {named}, not both")
     if args.table:
         mapping, default = _table_from_file(args.table)
         return Colouring.table(mapping, r, arity, default=default)
     if args.family:
         return Colouring.family(args.family, r, arity)
-    return Colouring.seeded(args.seed, r, arity)
+    return Colouring.seeded(args.seed or 0, r, arity)
 
 
 def _cmd_span(args) -> int:
@@ -234,11 +240,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    colouring = _colouring_from_args(args, "vector_matrix")
+    colouring = _colouring_from_args(args, "vector_matrix", sampling=True)
     lengths = _lengths_from_arg(args.lengths)
     bounds = PipelineBounds(mode=args.mode, k=args.k, lengths=lengths,
                             letter_level=args.letter_level,
-                            sample_count=args.samples, seed=args.seed)
+                            sample_count=args.samples, seed=args.seed or 0)
     result = S.parametrized_pipeline(colouring, bounds)
     if isinstance(result, Exhausted):
         _emit(result.to_dict())
@@ -389,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--colours", type=int, default=2)
         p.add_argument("--family", choices=S.FAMILIES)
         p.add_argument("--table", help="JSON file with a colour table")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, help="default 0")
 
     p = command("span", help="enumerate a span, one JSON element per line")
     add_common(p)

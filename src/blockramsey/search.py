@@ -426,6 +426,8 @@ class _VectorKernel:
     dict are both read off the code's digits.
     """
 
+    zero = 0  # the code of the empty sum
+
     def __init__(self, problem: SearchProblem, colouring: Colouring):
         values = _coordinate_values(problem.k, problem.N, problem.mode)
         self.k, self.mode = problem.k, problem.mode
@@ -567,11 +569,13 @@ def _dfs(m: int, space, r: int, certify: bool = True):
 
     `space.candidates(prefix)` lists the next slot's candidates in canonical
     order, and `space.pieces(cand)` a candidate's distinct span pieces as
-    (value, exponent) pairs.  A candidate adds to its prefix's span the
-    elements `vectors.span_step` makes from its pieces (integer codes of
-    vectors or tuple codes of words), and exponent 0 marks a span element.
-    They are built here in `span_step`'s order and each span element is
-    checked as soon as it is made, so a dead end stops the building.
+    (value, exponent) pairs.  A candidate adds to its prefix's span each
+    piece after each element of that span, in `vectors.span_step`'s order
+    (integer codes of vectors or tuple codes of words).  Every span starts
+    with the empty combination `(space.zero, math.inf)`, its exponent above
+    every piece's, so a piece after it is the piece alone.  Exponent 0 marks
+    a span element, each checked as soon as it is made, so a dead end stops
+    the building.
 
     `space.axis(level, centre)` lists the centres of a box's sub-boxes in
     walk order, from a span element's ball at level 0 down to its cells at
@@ -626,19 +630,11 @@ def _dfs(m: int, space, r: int, certify: bool = True):
         nonlocal nodes, dead_ends
         for cand in space.candidates(prefix):
             nodes += 1
-            # span_step(span, space.pieces(cand)), each span element checked
-            # as soon as it is made, and nothing made past a dead end
+            # span_step(span[1:], space.pieces(cand)), each span element
+            # checked as soon as it is made, and nothing made past a dead end
             fresh, colours = [], want
             add = fresh.append
             for value, exp in space.pieces(cand):
-                add((value, exp))
-                if not exp:
-                    bits = top(value, 0)
-                    if bits & colours != colours and not bits & whole:
-                        bits = walk(0, value, colours)
-                    colours &= bits
-                    if not colours:
-                        break
                 for v, e in span:
                     if e and exp:
                         add((v + value, e if e < exp else exp))
@@ -670,7 +666,7 @@ def _dfs(m: int, space, r: int, certify: bool = True):
                 return found
         return None
 
-    found = extend([], [], whole - 1)
+    found = extend([], [(space.zero, math.inf)], whole - 1)
     # extend and walk reach themselves through their closures; breaking
     # that cycle frees the memos now, not at the next cyclic collection
     del extend, walk
@@ -716,8 +712,9 @@ def search_exact(problem: SearchProblem, colouring: Colouring):
 
 
 def search_approx(problem: SearchProblem, colouring: Colouring):
-    """Least block sequence whose span sits in the radius-1 fattening of one
-    colour class (computed over the declared universe), or Exhausted."""
+    """Least block sequence whose span sits in the `problem.radius`
+    fattening of one colour class (computed over the declared universe), or
+    Exhausted; at radius 0 this is search_exact's search."""
     if problem.mode != SIGNED:
         raise ValueError("search_approx requires signed mode")
     return _vector_search(problem, colouring)
@@ -756,6 +753,8 @@ class _WordCodes:
     key and value.  A lifted colouring (`colouring.lift` set) is fed a
     code's per-place lift pairs instead of a decoded Word.
     """
+
+    zero = ()  # the code of the empty concatenation
 
     def __init__(self, alphabet: Alphabet, k: int, mode: str, radius: int,
                  colouring: Colouring, lengths: tuple, letters: Optional[Iterable]):

@@ -566,6 +566,35 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == "error: give --table or --family, not both\n"
 
+    @pytest.mark.parametrize("args", [
+        ("search", "--N", "3", "--m", "1"),
+        ("verify", "--witness", f"@{GOLDEN / 'search_witness.json'}"),
+    ])
+    @pytest.mark.parametrize("named", ["--family", "--table"])
+    def test_seed_beside_table_or_family_is_1(self, capfd, tmp_path, args, named):
+        # a table or family colours the run, so the seed went unused
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"mapping": {}, "default": 0}))
+        colouring = (named, "support-size-mod" if named == "--family" else str(path))
+        code, _, _ = run_inproc(capfd, *args, *colouring)
+        assert code == 0  # the colouring alone runs
+        code, out, err = run_inproc(capfd, *args, "--seed", "5")
+        assert json.loads(out) and err == ""  # and so does the seed alone
+        code, out, err = run_inproc(capfd, *args, *colouring, "--seed", "5")
+        assert code == 1 and out == ""
+        assert err == f"error: give --seed or {named}, not both\n"
+
+    @pytest.mark.parametrize("named", ["--family", "--table"])
+    def test_pipeline_takes_seed_beside_table_or_family(self, capfd, tmp_path, named):
+        # a pipeline's seed also seeds its sampling, so it is not unused
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"mapping": {}, "default": 0}))
+        colouring = (named, "support-size-mod" if named == "--family" else str(path))
+        code, out, err = run_inproc(capfd, "pipeline", "--lengths", "2,3",
+                                    "--samples", "4", *colouring, "--seed", "3")
+        assert code in (0, 3) and err == ""
+        assert json.loads(out)
+
     @pytest.mark.parametrize("option", [("--mode", "signed"), ("--k", "2")])
     def test_dist_takes_no_mode_or_k(self, capfd, option):
         with pytest.raises(SystemExit) as exc:

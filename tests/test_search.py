@@ -47,6 +47,7 @@ from blockramsey.encodings import (
     psi_encode,
 )
 from blockramsey.sampling import random_satisfying_string, random_span_element
+from blockramsey.vectors import span as vector_span
 from blockramsey.words import Letter, Var, VarWordSequence, Word, classify
 from blockramsey.words import word as mkword
 
@@ -580,7 +581,8 @@ class TestBalls:
         # walk reads a second member exactly when c is still live.
         # ("end", i) has an empty ball, so every candidate dead-ends.
         wants = (1, 2, 4, 7, 3, 7)
-        balls = {"x": (1, 4, 4)}  # colours 0 and 2
+        x = ("x",)  # a tuple like every value here, so `zero` can be ()
+        balls = {x: (1, 4, 4)}  # colours 0 and 2
         for i, want in enumerate(wants):
             balls["want", i] = tuple(1 << c for c in range(3) if want >> c & 1)
             for c in range(3):
@@ -596,11 +598,11 @@ class TestBalls:
                 yield value, n
 
         def pieces(i):
-            return [(("want", i), 0), ("x", 0),
+            return [(("want", i), 0), (x, 0),
                     *((("has", i, c), 0) for c in range(3)), (("end", i), 0)]
 
         space = SimpleNamespace(candidates=lambda prefix: range(len(wants)),
-                                pieces=pieces, levels=1, axis=axis,
+                                pieces=pieces, levels=1, axis=axis, zero=(),
                                 colour=lambda cell: balls[cell[0]][cell[1]])
         res = S._dfs(1, space, 3)
         assert res == Exhausted(6, 6)
@@ -610,7 +612,7 @@ class TestBalls:
         # x's first walk stops at colour 0; wanting colour 1 walks its whole
         # ball, and no later visit walks it again; every other ball is
         # walked once
-        assert walks.pop("x") == 2 and reads["x"] == 1 + 3
+        assert walks.pop(x) == 2 and reads[x] == 1 + 3
         assert set(walks.values()) == {1}
 
     def test_feasibility_resumes_sub_boxes(self):
@@ -634,7 +636,7 @@ class TestBalls:
         lists = [["zero", "x", "end"], ["x", "y", "end"], ["x", "y", "end"]]
         space = SimpleNamespace(
             candidates=lambda prefix: range(len(lists)),
-            pieces=lambda i: [(value, 0) for value in lists[i]],
+            pieces=lambda i: [(value, 0) for value in lists[i]], zero="",
             levels=2, axis=axis, colour=lambda cell: cells[cell[0]][cell[1]])
         assert S._dfs(1, space, 3) == Exhausted(3, 3)
         # x asked for colour 0 reads A's first cell alone; asked for every
@@ -800,13 +802,51 @@ END_SIGNS = Colouring.custom(
     name="end-signs")
 
 
-@pytest.mark.parametrize("N,m", [(N, 2) for N in range(3, 9)] + [(6, 3)])
-def test_end_signs_exhausts_with_known_counts(N, m):
-    # the first slot tries all 3^N - 1 vectors, none a dead end, and every
-    # one of the (2N - 3) * 3^(N - 1) + 1 block pairs is a dead end
-    res = search_exact(SearchProblem("signed", 1, 2, N, m), END_SIGNS)
-    assert res == Exhausted(nodes=2 * N * 3 ** (N - 1),
-                            dead_ends=(2 * N - 3) * 3 ** (N - 1) + 1)
+def _end_signs_counts(k, N):
+    """(nodes, dead ends) of END_SIGNS's exhaustion on signed [0, N): A(n)
+    vectors on n positions reach magnitude k, A(s + 1) - A(s) of them end at
+    s, the first slot tries all A(N), none a dead end, and each of the P
+    block pairs is a dead end."""
+    def A(n):
+        return (2 * k + 1) ** n - (2 * k - 1) ** n
+    P = sum((A(s + 1) - A(s)) * A(N - 1 - s) for s in range(N - 1))
+    return A(N) + P, P
+
+
+END_SIGNS_SIZES = [(1, N) for N in range(3, 9)] + [(2, N) for N in range(2, 7)] + \
+    [(3, N) for N in range(2, 6)] + [(4, N) for N in range(2, 5)]
+
+
+@pytest.mark.parametrize("k,N,m", [(k, N, m) for k, N in END_SIGNS_SIZES
+                                   for m in (2, 3) if m <= N])
+def test_end_signs_exhausts_with_known_counts(k, N, m):
+    res = search_exact(SearchProblem("signed", k, 2, N, m), END_SIGNS)
+    nodes, dead_ends = _end_signs_counts(k, N)
+    assert res == Exhausted(nodes=nodes, dead_ends=dead_ends)
+    if k == 1:
+        # the closed form: 2N * 3^(N-1) nodes, (2N-3) * 3^(N-1) + 1 dead ends
+        assert (nodes, dead_ends) == (2 * N * 3 ** (N - 1),
+                                      (2 * N - 3) * 3 ** (N - 1) + 1)
+
+
+@pytest.mark.parametrize("k,N,counts", [(1, 4, (80, 136)), (2, 4, (544, 584)),
+                                        (3, 3, (218, 92))])
+def test_end_signs_counts_without_the_search(k, N, counts):
+    # blocks from itertools.product, spans from vectors.span: no single
+    # block's span holds both colours, and every block pair's span does
+    blocks = [BlockVector.make(k, "signed", [(n, v) for n, v in enumerate(row) if v])
+              for row in itertools.product(range(-k, k + 1), repeat=N)
+              if max(map(abs, row)) == k]
+
+    def colours(*seq):
+        return {END_SIGNS(p) for p in vector_span(BlockSequence(seq))}
+
+    assert all(len(colours(b)) == 1 for b in blocks)
+    pairs = [(a, b) for a in blocks for b in blocks if a.max_support < b.min_support]
+    assert all(len(colours(a, b)) == 2 for a, b in pairs)
+    assert (len(blocks), len(pairs)) == counts
+    nodes, dead_ends = _end_signs_counts(k, N)
+    assert counts == (nodes - dead_ends, dead_ends)
 
 
 @pytest.mark.parametrize("N", [4, 5])
@@ -814,6 +854,37 @@ def test_end_signs_has_a_radius1_witness(N):
     res = search_approx(SearchProblem("signed", 1, 2, N, 2, radius=1), END_SIGNS)
     assert isinstance(res, Witness)
     assert verify_witness(res, END_SIGNS).passed
+
+
+def _word_end_signs(w):
+    # END_SIGNS on words: colour 0 when the first and last variables share a sign
+    signs = [s.index > 0 for s in w.symbols if isinstance(s, Var)]
+    return int(signs[0] != signs[-1])
+
+
+WORD_END_SIGNS = Colouring.custom(_word_end_signs, 2, arity="word", name="end-signs")
+
+
+@pytest.mark.parametrize("k,lengths,counts", [
+    (1, (1, 2), (26, 24)), (1, (2, 3), (684, 672)), (1, (1, 2, 4), (26, 24)),
+    (2, (1, 2), (42, 40)), (2, (2, 3), (3060, 3040)), (2, (1, 2, 4), (42, 40)),
+])
+def test_word_end_signs_exhausts_with_known_counts(k, lengths, counts):
+    # C(n) full-class words of length n over L letters and 2k variables;
+    # every first-slot word survives and every pair is a dead end, so the
+    # counts are C(l1) * (1 + C(l2)) nodes and C(l1) * C(l2) dead ends
+    L = len(AB.top)
+
+    def C(n):
+        return (L + 2 * k) ** n - (L + 2 * k - 2) ** n
+
+    res = search_ghj(AB, k, "signed", 2, WORD_END_SIGNS, lengths, radius=0)
+    l1, l2 = lengths[:2]
+    assert res == Exhausted(nodes=C(l1) * (1 + C(l2)), dead_ends=C(l1) * C(l2))
+    assert (res.nodes, res.dead_ends) == counts
+    found = search_ghj(AB, k, "signed", 2, WORD_END_SIGNS, lengths, radius=1)
+    assert isinstance(found, Witness)
+    assert verify_witness(found, WORD_END_SIGNS).passed
 
 
 def test_word_search_makes_only_the_words_it_visits(monkeypatch):
