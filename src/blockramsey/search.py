@@ -158,11 +158,14 @@ class Colouring:
         self.rule = rule
         self.fn = fn
         self.seed = None  # set by `seeded` alone: the vector kernel reads it
+        self.family = None  # set by `family` alone: the vector kernel reads it
         self.lift = None  # set by `_lift` alone: the word search reads it
 
     @classmethod
     def family(cls, name: str, r: int, arity: str = "vector") -> "Colouring":
-        return cls(arity, r, f"family:{name}", _family_fn(name, r, arity))
+        colouring = cls(arity, r, f"family:{name}", _family_fn(name, r, arity))
+        colouring.family = name
+        return colouring
 
     @classmethod
     def table(cls, mapping: dict, r: int, arity: str = "vector",
@@ -402,6 +405,23 @@ def _trusted(cls, **fields):
     return value
 
 
+# Each family's running quantity over a vector's entries in order, from 0
+# for no entries: step(h, prefix, n, v) adds the entry (n, v) to the
+# quantity h of the entries before it (prefix is 0 when there are none).
+# The family colour is the quantity % r, as `_family_fn` defines it.
+_FAMILY_STEPS = {
+    "value-at-min-support": lambda h, prefix, n, v: h if prefix else v,
+    "min-position-mod": lambda h, prefix, n, v: h if prefix else n,
+    "support-size-mod": lambda h, prefix, n, v: h + 1,
+    "weighted-sum-mod": lambda h, prefix, n, v: h + (n + 1) * v,
+}
+
+
+def _key_step(h: int, prefix: int, n: int, v: int) -> int:
+    # FNV-1a from state h over the key chunk of the entry (n, v)
+    return _fnv1a((("," if prefix else "") + _KEY_CHUNK.format(n, v)).encode(), h)
+
+
 class _VectorKernel:
     """One vector search's universe as integer codes, and its colour oracle.
 
@@ -414,11 +434,13 @@ class _VectorKernel:
     `codes` lists the universe in canonical order and `index` maps a code
     to its place there.  A nonzero code is its prefix code (the code with
     its last entry (n, v) peeled off) plus v * B**n, and a code's tetris
-    images and seeded-colour hash state are built from its prefix's, each
-    memoized by code: T and the sign act position by position, and FNV-1a
-    resumes from the state after the prefix's key.  `colour` gives a cell
-    `1 << colour`, or 0 outside the universe, afresh on every call; a
-    colouring that is not seeded gets the decoded BlockVector.  The sup-norm
+    images and colour state are built from its prefix's, each memoized by
+    code: T and the sign act position by position, a seeded colouring's
+    FNV-1a resumes from the state after the prefix's key, and a family's
+    running quantity (first value, first position, entry count or weighted
+    sum) from the prefix's.  `colour` gives a cell `1 << colour`, or 0
+    outside the universe, afresh on every call; only a custom or table
+    colouring gets the decoded BlockVector.  The sup-norm
     ball of radius 1 is a box of cells, so a span element's feasible colours
     are the OR over the cells of its box (at radius 0, the element alone).
     `axis` splits a box one digit per level, position 0 outermost, so the
@@ -468,7 +490,12 @@ class _VectorKernel:
                             tetris_images(((0, v),), self.k, self.mode)]
                         for v in values if v}
         self._tail = _KEY_TAIL.format(self.k, self.mode).encode()
-        self._states = {0: _fnv1a(_KEY_HEAD.encode())}
+        # `_step(h, prefix, n, v)` makes a code's colour state from its
+        # prefix's state h and its last entry; None for custom and tables
+        if colouring.seed is not None:
+            self._step, self._states = _key_step, {0: _fnv1a(_KEY_HEAD.encode())}
+        else:
+            self._step, self._states = _FAMILY_STEPS.get(colouring.family), {0: 0}
         # FNV-1a over the tail is affine in the state: (h ^ byte) moves only
         # h's low byte, and a product's low byte mod 2**64 depends only on
         # its factors' low bytes, so _fnv1a(tail, h) is h * P**len(tail)
@@ -511,22 +538,25 @@ class _VectorKernel:
         return code - v * self.powers[n], n, v
 
     def _state(self, code: int) -> int:
-        """The FNV-1a state after the key head and the entries of a code."""
+        """A code's colour state: the FNV-1a state after the key head and
+        its entries (seeded), or the family's quantity over its entries."""
         h = self._states.get(code)
         if h is None:
             prefix, n, v = self._peel(code)
-            chunk = ("," if prefix else "") + _KEY_CHUNK.format(n, v)
-            h = self._states[code] = _fnv1a(chunk.encode(), self._state(prefix))
+            h = self._states[code] = self._step(self._state(prefix), prefix, n, v)
         return h
 
     def colour(self, code: int) -> int:
         """The cell's colour bit, 1 << colour, or 0 outside the universe."""
         if code not in self.index:
             return 0
-        if self.colouring.seed is None:
+        if self._step is None:
             return 1 << self.colouring(self.decode(code))
+        h = self._state(code)
+        if self.colouring.seed is None:  # Colouring.family
+            return 1 << h % self.colouring.r
         # Colouring.seeded, resumed from the prefix's state
-        h = self._after_tail(self._state(code))
+        h = self._after_tail(h)
         h ^= self.colouring.seed & 0xFFFFFFFFFFFFFFFF
         return 1 << _splitmix64(h) % self.colouring.r
 

@@ -535,6 +535,10 @@ def test_c10_cli_golden_files():
         (["search", "--mode", "signed", "--k", "2", "--N", "5", "--m", "2",
           "--colours", "2", "--family", "weighted-sum-mod"],
          "search_weighted_sum_k2.json", 0),
+        # negative values at the min support: -1 % 2 is colour 1
+        (["search", "--mode", "signed", "--k", "2", "--N", "5", "--m", "2",
+          "--family", "value-at-min-support"],
+         "search_value_at_min_support_k2.json", 0),
         # k=2 radius 1: neighbours move entries between +-2 and +-1
         (["search", "--mode", "signed", "--k", "2", "--N", "5", "--m", "2",
           "--radius", "1", "--colours", "3", "--seed", "2"],

@@ -566,6 +566,23 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == "error: give --table or --family, not both\n"
 
+    @pytest.mark.parametrize("args,key", [
+        (("search", "--N", "3", "--m", "1"),
+         '{"entries":[[0,1]],"k":1,"mode":"unsigned"}'),
+        (("verify", "--witness", f"@{GOLDEN / 'search_witness.json'}"),
+         '{"entries":[[0,1],[1,1]],"k":1,"mode":"unsigned"}'),
+        (("pipeline", "--lengths", "2,3", "--samples", "4"),
+         '[[{"entries":[[1,1]],"k":1,"mode":"unsigned"}],'
+         '{"bits":[],"cols":2,"rows":2}]'),
+    ])
+    def test_table_miss_is_1(self, capfd, tmp_path, args, key):
+        # the message once came in the KeyError's repr quotes
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"mapping": {}}))
+        code, out, err = run_inproc(capfd, *args, "--table", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: no colour for {key}\n"
+
     @pytest.mark.parametrize("args", [
         ("search", "--N", "3", "--m", "1"),
         ("verify", "--witness", f"@{GOLDEN / 'search_witness.json'}"),

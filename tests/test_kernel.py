@@ -1,7 +1,8 @@
 """The integer-coded kernel of the vector search (its universe codes, tetris
 variants, on-demand colouring and box walks), against the independent
 `enumerate_universe`, `_tetris_entries`, `tetris_images`, `vector_ball` and
-scalar `Colouring.seeded` oracles, plus pinned search outcomes."""
+scalar `Colouring.seeded` and `Colouring.family` oracles, plus pinned search
+outcomes."""
 
 import hashlib
 import math
@@ -176,6 +177,21 @@ def test_seeded_colours_resumed_from_prefixes_match_colouring_seeded(
         # the kernel never calls the scalar colour of a seeded colouring
         colouring.fn = lambda *elem: pytest.fail("the scalar colour was called")
         kernel = _VectorKernel(SearchProblem(mode, k, r, N, 1), colouring)
+        for code in reversed(kernel.codes):
+            assert kernel.colour(code) == 1 << reference(kernel.decode(code))
+
+
+@pytest.mark.parametrize("family", S.FAMILIES)
+@pytest.mark.parametrize("mode,k,N", UNIVERSES)
+def test_family_colours_resumed_from_prefixes_match_colouring_family(
+        mode, k, N, family):
+    for r in (2, 3, 5):
+        reference = Colouring.family(family, r)
+        colouring = Colouring.family(family, r)
+        # the kernel never calls the scalar rule of a family colouring
+        colouring.fn = lambda *elem: pytest.fail("the scalar colour was called")
+        kernel = _VectorKernel(SearchProblem(mode, k, r, N, 1), colouring)
+        # last code first, so each prefix is met in another order
         for code in reversed(kernel.codes):
             assert kernel.colour(code) == 1 << reference(kernel.decode(code))
 
@@ -393,6 +409,27 @@ COLOUR_LOGS += [
                                       Colouring.seeded(0, 2)),
                  1776, "f815d5ab4418fadf", "78daf596efc36629",
                  id="exact-seeded-k3-m2-exhausted"),
+]
+
+
+# Radius-0 family searches (the bench's signed k=2 N=5 cases), pinned as in
+# COLOUR_LOGS and recorded while the kernel coloured every family cell by
+# calling the family rule on the decoded BlockVector, so they show that
+# resuming the rule's running quantity from the prefix colours the same
+# cells in the same order and finds the same witnesses.
+COLOUR_LOGS += [
+    pytest.param(lambda: search_exact(SearchProblem("signed", 2, 2, 5, 2),
+                                      Colouring.family("value-at-min-support", 2)),
+                 2343, "6d118447c392578f", "8bf6c93ce38f8ec6",
+                 id="exact-value-at-min-support-k2-m2"),
+    pytest.param(lambda: search_exact(SearchProblem("signed", 2, 2, 5, 2),
+                                      Colouring.family("support-size-mod", 2)),
+                 787, "65468188b2fae947", "54494e8983355696",
+                 id="exact-support-size-k2-m2"),
+    pytest.param(lambda: search_exact(SearchProblem("signed", 2, 2, 5, 3),
+                                      Colouring.family("min-position-mod", 2)),
+                 558, "d9a514d61a0e5bf2", "9406235df3fbc57c",
+                 id="exact-min-position-k2-m3"),
 ]
 
 
