@@ -96,50 +96,76 @@ def _splitmix64(x: int) -> int:
 
 
 # A block vector's key is the head, one chunk per entry joined by commas,
-# and the tail; the vector kernel hashes it piece by piece
+# and the tail; the vector kernel hashes it piece by piece.  A (sequence,
+# matrix) key is its blocks' keys in a list, then the matrix's, whose bits
+# are chunks too.
 _KEY_HEAD, _KEY_CHUNK, _KEY_TAIL = '{"entries":[', "[{},{}]", '],"k":{},"mode":"{}"}}'
+_MATRIX_KEY = '],{{"bits":[{}],"cols":{},"rows":{}}}]'
+
+
+def _vector_key(k: int, mode: str, entries) -> str:
+    """canonical_json of the block vector's dict, formatted without json.dumps."""
+    return (_KEY_HEAD + ",".join(_KEY_CHUNK.format(n, v) for n, v in entries) +
+            _KEY_TAIL.format(k, mode))
+
+
+def _pair_key(blocks, rows: int, cols: int, bits) -> str:
+    """canonical_json([seq.to_list(), matrix.to_dict()]), formatted without
+    json.dumps, from each block's (k, mode, entries) and the matrix's
+    one-positions in sorted order."""
+    return ("[[" + ",".join(_vector_key(*block) for block in blocks) +
+            _MATRIX_KEY.format(",".join(_KEY_CHUNK.format(n, i) for n, i in bits),
+                               cols, rows))
 
 
 def element_key(elem) -> str:
     """Canonical serialization used by tables and seeded colourings."""
     if isinstance(elem, BlockVector):
-        # canonical_json(elem.to_dict()), formatted without json.dumps
-        entries = ",".join(_KEY_CHUNK.format(n, v) for n, v in elem.entries)
-        return _KEY_HEAD + entries + _KEY_TAIL.format(elem.k, elem.mode)
+        return _vector_key(elem.k, elem.mode, elem.entries)
     if isinstance(elem, Word):
         return canonical_json(elem.to_dict())
     if isinstance(elem, tuple) and len(elem) == 2:
         seq, matrix = elem
-        return canonical_json([seq.to_list(), matrix.to_dict()])
+        return _pair_key([(b.k, b.mode, b.entries) for b in seq.blocks],
+                         matrix.rows, matrix.cols, sorted(matrix.bits))
     raise ValueError(f"cannot serialize {elem!r}")
 
 
-def _family_fn(name: str, r: int, arity: str) -> Callable:
-    # the (position, value) entries a rule reads, picked once per colouring;
-    # an unknown arity gets None here and is refused by Colouring
-    profile = {"vector": lambda p: p.entries, "word": W._var_entries,
-               "vector_matrix": lambda seq, matrix: seq.blocks[0].entries
-               }.get(arity)
+def _seeded_colour(key: str, seed: int, r: int) -> int:
+    # FNV-1a over the canonical JSON bytes, xor'd with the seed and
+    # finished with a splitmix64 round; reproducible across runs.
+    return _splitmix64(_fnv1a(key.encode()) ^ (seed & 0xFFFFFFFFFFFFFFFF)) % r
+
+
+def _family_rule(name: str, r: int) -> Callable:
+    """The family's colour as rule(entries, bits, size): a vector or word
+    passes its (position, value) entries, no bits and its entry count; a
+    (sequence, matrix) pair its first block's entries, the matrix's
+    (row, col) one-positions and its number of blocks."""
     if name in ("min-position-mod", "value-at-min-support"):
         field = 0 if name == "min-position-mod" else 1  # of the first entry
-        def fn(*elem):
-            prof = profile(*elem)
-            return (prof[0][field] if prof else 0) % r
-    elif name == "support-size-mod" and arity == "vector_matrix":
-        def fn(seq, matrix):
-            return len(seq.blocks) % r
-    elif name == "support-size-mod":
-        def fn(*elem):
-            return len(profile(*elem)) % r
-    elif name == "weighted-sum-mod" and arity == "vector_matrix":
-        def fn(seq, matrix):
-            return (sum((n + 1) * v for n, v in profile(seq, matrix)) +
-                    sum((n + 1) * (i + 1) for n, i in matrix.bits)) % r
-    elif name == "weighted-sum-mod":
-        def fn(*elem):
-            return sum((n + 1) * v for n, v in profile(*elem)) % r
-    else:
-        raise ValueError(f"unknown family {name!r}; choose from {FAMILIES}")
+        return lambda entries, bits, size: (entries[0][field] if entries else 0) % r
+    if name == "support-size-mod":
+        return lambda entries, bits, size: size % r
+    if name == "weighted-sum-mod":
+        return lambda entries, bits, size: (
+            sum((n + 1) * v for n, v in entries) +
+            sum((n + 1) * (i + 1) for n, i in bits)) % r
+    raise ValueError(f"unknown family {name!r}; choose from {FAMILIES}")
+
+
+def _family_fn(name: str, r: int, arity: str) -> Callable:
+    rule = _family_rule(name, r)
+    if arity == "vector_matrix":
+        return lambda seq, matrix: rule(seq.blocks[0].entries, matrix.bits,
+                                        len(seq.blocks))
+    # the entries a rule reads, picked once per colouring; an unknown arity
+    # gets None here and is refused by Colouring
+    profile = {"vector": lambda p: p.entries, "word": W._var_entries}.get(arity)
+
+    def fn(elem):
+        entries = profile(elem)
+        return rule(entries, (), len(entries))
     return fn
 
 
@@ -182,11 +208,9 @@ class Colouring:
 
     @classmethod
     def seeded(cls, seed: int, r: int, arity: str = "vector") -> "Colouring":
-        # FNV-1a over the canonical JSON bytes, xor'd with the seed and
-        # finished with a splitmix64 round; reproducible across runs.
         def fn(*elem):
-            key = element_key(elem[0] if len(elem) == 1 else elem)
-            return _splitmix64(_fnv1a(key.encode()) ^ (seed & 0xFFFFFFFFFFFFFFFF)) % r
+            return _seeded_colour(element_key(elem[0] if len(elem) == 1 else elem),
+                                  seed, r)
 
         colouring = cls(arity, r, f"seeded:{seed}", fn)
         colouring.seed = seed
@@ -781,7 +805,8 @@ class _WordCodes:
 
     A code's JSON dict is built from a per-place table of each symbol's
     key and value.  A lifted colouring (`colouring.lift` set) is fed a
-    code's per-place lift pairs instead of a decoded Word.
+    code's per-place lift pairs instead of a decoded Word; from a family or
+    seeded source it colours them with no value built (see `_lift`).
     """
 
     zero = ()  # the code of the empty concatenation
@@ -1061,9 +1086,16 @@ def _lift(colouring: Colouring, cols: int) -> Colouring:
     """The word colouring w -> colouring(phi_encode(X), psi_encode(X, cols))
     for X = (w,), with both encodings read off w's lift pairs, one per
     position: `lifted.lift(symbol)` is (index, ()) for a variable and (0, the
-    letter's set bits below cols) for a letter.  `lifted(w)` takes a word,
-    and `lifted(k, mode, pairs)` the pairs alone, as the word search passes
-    them from its codes.  It calls `colouring.fn`: its own call checks the
+    letter's set bits below cols) for a letter.
+
+    `lifted(w)` takes a word and calls `colouring.fn` on the validated
+    encodings.  `lifted(k, mode, pairs)` takes the pairs alone, as the word
+    search passes them from its codes, which are valid by construction: for
+    a family or seeded colouring it computes the colour from the pairs, with
+    the family's rule or the seeded key formatted from them, and builds no
+    value; a custom or table colouring still gets validated values, since
+    they reach the caller's code.  The lift has exactly one block, so a
+    lifted support-size-mod is constant.  `lifted`'s own call checks the
     colour against the same r."""
     letter_bits = functools.cache(lambda token: tuple(_set_bits(token, cols)))
 
@@ -1071,17 +1103,36 @@ def _lift(colouring: Colouring, cols: int) -> Colouring:
         return (sym.index, ()) if isinstance(sym, Var) else \
             (0, letter_bits(sym.token))
 
+    # direct(k, mode, entries, bits, rows): the colour, with no value built
+    if colouring.seed is not None:
+        seed, r = colouring.seed, colouring.r
+
+        def direct(k, mode, entries, bits, rows):
+            return _seeded_colour(_pair_key(((k, mode, entries),), rows, cols, bits),
+                                  seed, r)
+    elif colouring.family is not None:
+        rule = _family_rule(colouring.family, colouring.r)
+
+        def direct(k, mode, entries, bits, rows):
+            return rule(entries, bits, 1)
+    else:
+        direct = None
+
     def lifted(*elem) -> int:
-        if len(elem) == 1:  # a word
+        if len(elem) == 1:  # a word, for colouring.fn
             wrd, = elem
-            elem = wrd.k, wrd.mode, list(map(pair, wrd.symbols))
-        k, mode, pairs = elem
+            k, mode, pairs, fast = wrd.k, wrd.mode, list(map(pair, wrd.symbols)), None
+        else:  # a code's pairs
+            (k, mode, pairs), fast = elem, direct
+        # entries and bits in position order, so the bits are sorted
         entries, bits = [], []
         for n, (i, set_bits) in enumerate(pairs):
             if i:
                 entries.append((n, i))
             for b in set_bits:
                 bits.append((n, b))
+        if fast is not None:
+            return fast(k, mode, entries, bits, len(pairs))
         return colouring.fn(BlockSequence((BlockVector(k, mode, tuple(entries)),)),
                             ParamMatrix(len(pairs), cols, frozenset(bits)))
     out = Colouring.custom(lifted, colouring.r, arity="word", name="lifted")

@@ -564,6 +564,16 @@ def test_c10_cli_golden_files():
         (["pipeline", "--mode", "unsigned", "--k", "1", "--lengths", "1,2,4,8",
           "--family", "value-at-min-support", "--samples", "60"],
          "pipeline_unsigned_1248_vams.json", 0),
+        # weighted-sum-mod is the one family rule that reads matrix bits
+        (["pipeline", "--mode", "signed", "--k", "1", "--lengths", "2,3",
+          "--letter-level", "1", "--family", "weighted-sum-mod", "--samples", "16"],
+         "pipeline_signed_wsm_level1.json", 0),
+        (["pipeline", "--mode", "signed", "--k", "1", "--lengths", "2,3",
+          "--letter-level", "1", "--seed", "3", "--samples", "16"],
+         "pipeline_signed_seed3_level1.json", 0),
+        (["pipeline", "--mode", "unsigned", "--k", "1", "--lengths", "2,3",
+          "--letter-level", "1", "--family", "min-position-mod", "--samples", "16"],
+         "pipeline_unsigned_mpm_level1.json", 0),
         (["selftest", "--seed", "0"], "selftest.json", 0),
         # signed k=2 over four pairs: pair 0 is substituted away by the
         # zero letter, block 1 enters as -b and block 2 as +T(b), and the

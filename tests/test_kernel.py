@@ -13,6 +13,7 @@ import pytest
 
 import blockramsey.search as S
 from blockramsey import (
+    BlockSequence,
     BlockVector,
     Colouring,
     Exhausted,
@@ -30,6 +31,7 @@ from blockramsey.search import (
     element_key,
     vector_ball,
 )
+from blockramsey.encodings import ParamMatrix
 from blockramsey.vectors import (
     _tetris_entries,
     embed_delta,
@@ -217,6 +219,53 @@ def test_element_key_is_the_canonical_json(mode, k, N):
         assert element_key(p) == canonical_json(p.to_dict())
 
 
+def _matrices(rows, cols, rng):
+    # no bits, every bit, and a random subset
+    cells = [(n, i) for n in range(rows) for i in range(cols)]
+    return [ParamMatrix(rows, cols, frozenset(bits)) for bits in
+            ((), cells, rng.sample(cells, rng.randrange(len(cells) + 1)))]
+
+
+@pytest.mark.parametrize("mode", ["unsigned", "signed"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_pair_key_is_the_canonical_json(mode, k):
+    # sequences of one to three blocks, each from the N=3 universe moved
+    # past the one before, against matrices of 0 to 3 rows and columns
+    rng = random.Random(k)
+    universe = enumerate_universe(k, 3, mode)
+    for size in (1, 2, 3):
+        for _ in range(20):
+            seq = BlockSequence(tuple(
+                BlockVector(k, mode, tuple((n + 3 * j, v) for n, v in p.entries))
+                for j, p in enumerate(rng.choices(universe, k=size))))
+            for rows in range(4):
+                for cols in range(4):
+                    for matrix in _matrices(rows, cols, rng):
+                        assert element_key((seq, matrix)) == canonical_json(
+                            [seq.to_list(), matrix.to_dict()])
+
+
+def test_a_table_pipeline_hits_its_canonical_json_keys():
+    # a table keyed by json.dumps colours a pipeline as the seeded rule it
+    # was recorded from: every key the lift makes is found
+    seeded = Colouring.seeded(3, 2, arity="vector_matrix")
+    mapping = {}
+
+    def record(seq, matrix):
+        key = canonical_json([seq.to_list(), matrix.to_dict()])
+        mapping[key] = seeded(seq, matrix)
+        return mapping[key]
+
+    bounds = PipelineBounds(mode="signed", k=1, lengths=(2, 3), letter_level=1,
+                            sample_count=16)
+    want = parametrized_pipeline(seeded, bounds)
+    assert parametrized_pipeline(Colouring.custom(record, 2, arity="vector_matrix"),
+                                 bounds) == want
+    assert len(mapping) > 20
+    assert parametrized_pipeline(Colouring.table(mapping, 2, arity="vector_matrix"),
+                                 bounds) == want
+
+
 def test_certificate_colours_only_until_the_first_on_colour_cell(monkeypatch):
     # the witness comes at the first prefix, so nearly all the colouring is
     # the certificate's; colouring each element's whole box would colour
@@ -353,9 +402,12 @@ COLOUR_LOGS = [
 
 
 def _pipeline(colouring, bounds):
-    # the pipeline, summed up by its source words, B, colour and verdict
+    # the pipeline, summed up by its source words, B, colour and verdict,
+    # or its word search's exhaustion
     def run():
         res = parametrized_pipeline(colouring, bounds)
+        if isinstance(res, Exhausted):
+            return res
         return SimpleNamespace(to_dict=lambda: {
             "source": res.pair.source.to_list(), "B": res.pair.B.to_list(),
             "colour": res.colour, "passed": res.passed})
@@ -430,6 +482,31 @@ COLOUR_LOGS += [
                                       Colouring.family("min-position-mod", 2)),
                  558, "d9a514d61a0e5bf2", "9406235df3fbc57c",
                  id="exact-min-position-k2-m3"),
+]
+
+
+# Pipelines, pinned as in COLOUR_LOGS and recorded while every lifted colour
+# call built a validated BlockSequence and ParamMatrix from the code's lift
+# pairs (and a seeded one its key through json.dumps), so they show that
+# colouring the pairs directly colours the same words in the same order.
+# The seeded row is the bench's slowest seeded pipeline at seed 0
+# (`seeded-unsigned-23-l1-1`), which exhausts.
+COLOUR_LOGS += [
+    pytest.param(_pipeline(Colouring.family("weighted-sum-mod", 2, arity="vector_matrix"),
+                           PipelineBounds(mode="signed", k=1, lengths=(2, 3),
+                                          letter_level=1)),
+                 21, "3a1996ab1f6f9012", "28afa26ba0d74741",
+                 id="pipeline-weighted-sum-signed-l1"),
+    pytest.param(_pipeline(Colouring.family("value-at-min-support", 2,
+                                            arity="vector_matrix"),
+                           PipelineBounds(mode="unsigned", k=1, lengths=(1, 2, 4, 8))),
+                 2025, "fabe67c90fc28b1f", "7ac32716d0819a2c",
+                 id="pipeline-value-at-min-support-unsigned-1248"),
+    pytest.param(_pipeline(Colouring.seeded(2361592934, 2, arity="vector_matrix"),
+                           PipelineBounds(mode="unsigned", k=1, lengths=(2, 3),
+                                          letter_level=1)),
+                 616, "4f4f0bf618be9e04", "12513eea0ff5b9b0",
+                 id="pipeline-seeded-unsigned-l1-exhausted"),
 ]
 
 

@@ -919,6 +919,69 @@ def _pipeline_search(colouring, lengths, letter_level):
 
 LIFT_SOURCES = [Colouring.seeded(0, 2, arity="vector_matrix")] + [
     Colouring.family(name, 2, arity="vector_matrix") for name in FAMILIES]
+
+
+def _lift_sources(r):
+    return [Colouring.seeded(seed, r, arity="vector_matrix") for seed in range(3)] + [
+        Colouring.family(name, r, arity="vector_matrix") for name in FAMILIES]
+
+
+def _refuse(*values):
+    raise AssertionError("a lifted code called its source's fn")
+
+
+@pytest.mark.parametrize("mode", ["unsigned", "signed"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_lifted_pairs_colour_as_the_validated_values(mode, k):
+    # a library source colours a code's lift pairs without its fn: every
+    # full-class pair list up to length 4 gets, from every family and seeded
+    # rule, the colour that the source's fn gives the validated encodings,
+    # built here from the pairs; the lists take r = 2, 3 and 5 in turn
+    sources = [_lift_sources(r) for r in (2, 3, 5)]
+    fns = [[c.fn for c in row] for row in sources]
+    for row in sources:
+        for c in row:
+            c.fn = _refuse
+    indices = range(1, k + 1) if mode == "unsigned" else \
+        [i for i in range(-k, k + 1) if i]
+    for cols in (1, 2, 3):
+        lifts = [[S._lift(c, cols) for c in row] for row in sources]
+        symbols = [(i, ()) for i in indices] + [
+            (0, bits) for size in range(cols + 1)
+            for bits in itertools.combinations(range(cols), size)]
+        lists = (pairs for length in range(1, 5)
+                 for pairs in itertools.product(symbols, repeat=length)
+                 if any(abs(i) == k for i, _ in pairs))  # full-class words'
+        for turn, pairs in enumerate(lists):
+            values = (
+                BlockSequence((BlockVector(k, mode, tuple(
+                    (n, i) for n, (i, _) in enumerate(pairs) if i)),)),
+                ParamMatrix(len(pairs), cols, frozenset(
+                    (n, b) for n, (_, bits) in enumerate(pairs) for b in bits)))
+            for lifted, fn in zip(lifts[turn % 3], fns[turn % 3]):
+                assert lifted(k, mode, list(pairs)) == fn(*values)
+
+
+@pytest.mark.parametrize("source", LIFT_SOURCES + [
+    Colouring.custom(lambda A, M: 0, 2, arity="vector_matrix"),
+    Colouring.table({}, 2, arity="vector_matrix", default=0)],
+    ids=lambda c: c.rule_name())
+def test_a_lifted_word_calls_its_source(monkeypatch, source):
+    # lifted(word), which the sample check runs, still hands every source
+    # the validated encodings; a custom or table source gets them for a
+    # code's pairs too
+    seen = []
+    monkeypatch.setattr(source, "fn", lambda A, M: seen.append((A, M)) or 1)
+    lifted = S._lift(source, 2)
+    w = mkword(1, "signed", bitstring_alphabet(1), [(1,), -1, (0, 1)])
+    seq = VarWordSequence((w,))
+    want = (phi_encode(seq), psi_encode(seq, 2))
+    assert lifted(w) == 1 and seen == [want]
+    lifted(1, "signed", list(map(lifted.lift, w.symbols)))
+    library = source.rule.startswith(("seeded:", "family:"))
+    assert seen == ([want] if library else [want, want])
+
+
 # (alphabet, k, mode, colouring, lengths, radius, letters) of word searches
 UNCERTIFIED = [
     pytest.param(alphabet, 1, mode, lifted, lengths, None, content,
